@@ -12,7 +12,6 @@ from .scalars import (
     BiPoly,
     DEFAULT_PARAM_BATTERY,
     ParamSpec,
-    Rat,
     random_param,
     y_seq,
 )
@@ -112,7 +111,7 @@ __version__ = TOOL_VERSION
 __all__ = [
     "__version__",
     # scalars
-    "Rat", "BiPoly", "ParamSpec", "DEFAULT_PARAM_BATTERY", "random_param", "y_seq",
+    "BiPoly", "ParamSpec", "DEFAULT_PARAM_BATTERY", "random_param", "y_seq",
     # linear algebra
     "RatMat", "kernel_basis", "intertwiner_rows",
     # Coxeter systems

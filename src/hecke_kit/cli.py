@@ -20,7 +20,7 @@ from .hecke import check_theta_braid, verify_algebra
 from .mackey import build_sides, verify, verify_tensor_decomposition
 from .repmod import companion, random_conjugate, regular, scalar, scalar_roots
 from .report import TOOL_VERSION, VerificationReport
-from .scalars import DEFAULT_PARAM_BATTERY, ParamSpec
+from .scalars import DEFAULT_PARAM_BATTERY, ParamSpec, parse_rational
 from .twists import verify_thm44, verify_thm48
 
 __all__ = ["main", "build_module", "parse_subset"]
@@ -50,7 +50,7 @@ def build_module(token: str, system, subset, params: ParamSpec, seed: int):
         return regular(system, subset, params)
     if kind == "scalar":
         if arg:
-            lam = Fraction(arg)
+            lam = parse_rational(arg)
         else:
             roots = scalar_roots(params)
             if not roots and subset:

@@ -325,11 +325,23 @@ class CoxeterSystem:
 
         full = frozenset(range(self.rank))
         self.gens = self.right_table[0]  # element index of each generator
-        self._asc_left = [frozenset(s for s in full if self.length[self.left_table[w][s]] > self.length[w]) for w in range(self.size)]
-        self._asc_right = [frozenset(s for s in full if self.length[self.right_table[w][s]] > self.length[w]) for w in range(self.size)]
+        # at most 2^rank distinct ascent sets: keep one object for each
+        subsets: dict[frozenset, frozenset] = {}
+
+        def ascents(table, w):
+            asc = frozenset(s for s in full if self.length[table[w][s]] > self.length[w])
+            return subsets.setdefault(asc, asc)
+
+        self._asc_left = [ascents(self.left_table, w) for w in range(self.size)]
+        self._asc_right = [ascents(self.right_table, w) for w in range(self.size)]
         self.by_length = by_length
         self._parabolic_cache: dict[frozenset, list[int]] = {}
         self._gen_of_elem = {g: i for i, g in enumerate(self.gens)}
+        self._reduced_words: dict[int, tuple[int, ...]] = {0: ()}
+        # Hecke basis-change table: per target basis, a dict of rows and a
+        # pool of their coefficients; hecke.HeckeElement.change_basis fills
+        # it row by row on demand
+        self.basis_change_rows: dict[str, tuple[dict, dict]] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -353,13 +365,20 @@ class CoxeterSystem:
         return self._asc_left[w], self._asc_right[w]
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
-        """Greedy reduced word, stripping the smallest left descent first."""
-        letters = []
-        while w != 0:
-            s = min(self.desc_left(w))
-            letters.append(s)
-            w = self.left_table[w][s]
-        return tuple(letters)
+        """Greedy reduced word, stripping the smallest left descent first.
+
+        Each word is computed once and kept for later calls.
+        """
+        word = self._reduced_words.get(w)
+        if word is None:
+            letters = []
+            v = w
+            while v != 0:
+                s = min(self.desc_left(v))
+                letters.append(s)
+                v = self.left_table[v][s]
+            word = self._reduced_words[w] = tuple(letters)
+        return word
 
     def word_to_elem(self, word) -> int:
         w = 0

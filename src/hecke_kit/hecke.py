@@ -5,7 +5,10 @@ satisfying pi_s^2 = a*pi_s + b.  Two bases are supported: the standard one
 ("pi") and the shifted one ("opi", opi_s = pi_s - a), whose descent rule is
 the standard one with a negated.  Products of basis words are computed by
 folding reduced words one generator at a time, so only the quadratic rule
-and the length-additive concatenation rule are ever used.
+and the length-additive concatenation rule are ever used.  Basis change reads
+a per-system table whose row w expands the old basis element w in the new
+basis; each row is built once, from the row of s*w for the first letter s of
+w's reduced word, so the rows fill along reduced-word prefixes.
 
 Also here: the standard (anti-)automorphisms built from the longest element,
 the parameter flip and arrow reversal, conjugation isomorphisms between
@@ -37,6 +40,8 @@ __all__ = [
 ]
 
 _BASES = ("pi", "opi")
+# the a-coefficient of each basis's descent rule: x_s * x_s = +-a*x_s + b
+_DESCENT_A = {"pi": A, "opi": -A}
 
 
 class BasisMismatch(ValueError):
@@ -155,7 +160,7 @@ class HeckeElement:
         """Coefficients of (generator s) * (element with given coeffs)."""
         sys = self.system
         length, table = sys.length, sys.left_table
-        a_coef = A if self.basis == "pi" else -A
+        a_coef = _DESCENT_A[self.basis]
         out: dict[int, BiPoly] = {}
         for w, c in coeffs.items():
             sw = table[w][s]
@@ -169,7 +174,7 @@ class HeckeElement:
     def _gen_right(self, s: int, coeffs: dict) -> dict:
         sys = self.system
         length, table = sys.length, sys.right_table
-        a_coef = A if self.basis == "pi" else -A
+        a_coef = _DESCENT_A[self.basis]
         out: dict[int, BiPoly] = {}
         for w, c in coeffs.items():
             ws = table[w][s]
@@ -209,26 +214,18 @@ class HeckeElement:
     def change_basis(self, to: str) -> "HeckeElement":
         """Re-expand in the other basis; round trip is the identity.
 
-        Each basis word is the product of its letters, and each letter
-        converts by a shift: pi_s = opi_s + a, opi_s = pi_s - a.
+        The result is the sum of c * row(w) over the terms c*old_w, with
+        row(w) the expansion of the old basis element w in the basis `to`,
+        read from the system's basis-change table (see _basis_row).
         """
         if to not in _BASES:
             raise ValueError(f"unknown basis {to!r}")
         if to == self.basis:
             return self
         sys = self.system
-        shift = A if to == "opi" else -A
-        one = BiPoly.one()
         acc: dict[int, BiPoly] = {}
-        tmp = HeckeElement.zero(sys, to)
         for w, c in self.coeffs.items():
-            cur = {0: one}
-            for s in sys.reduced_word(w):
-                nxt = tmp._gen_right(s, cur)
-                for v, d in cur.items():
-                    _add_term(nxt, v, d * shift)
-                cur = nxt
-            for v, d in cur.items():
+            for v, d in _basis_row(sys, to, w).items():
                 _add_term(acc, v, c * d)
         return HeckeElement(sys, acc, to)
 
@@ -243,6 +240,47 @@ class HeckeElement:
 
     def __repr__(self):
         return str(self)
+
+
+def _basis_row(sys: CoxeterSystem, to: str, w: int) -> dict[int, BiPoly]:
+    """Row w of the basis-change table into basis `to`, built on first use.
+
+    With s the smallest left descent of w, old_w = old_s * old_{s*w} and
+    old_s = new_s + shift (pi_s = opi_s + a, opi_s = pi_s - a), so the row
+    is (new_s + shift) times the row of s*w.  Where s*v is shorter than v
+    the descent rule's a-term (the negated shift) cancels the shift, leaving
+    b at s*v.  Rows
+    live on the system, one dict per target basis beside a pool that keeps
+    each distinct coefficient once (a table holds few distinct polynomials);
+    rows are never mutated.
+    """
+    table = sys.basis_change_rows.get(to)
+    if table is None:
+        one = BiPoly.one()
+        table = sys.basis_change_rows[to] = ({0: {0: one}}, {one: one})
+    rows, pool = table
+    row = rows.get(w)
+    if row is not None:
+        return row
+    chain = []
+    while w not in rows:
+        s = min(sys.desc_left(w))
+        chain.append((w, s))
+        w = sys.left_table[w][s]
+    row = rows[w]
+    shift = -_DESCENT_A[to]
+    length, left = sys.length, sys.left_table
+    for w, s in reversed(chain):
+        new: dict[int, BiPoly] = {}
+        for v, c in row.items():
+            sv = left[v][s]
+            if length[sv] > length[v]:
+                _add_term(new, sv, c)
+                _add_term(new, v, c * shift)
+            else:
+                _add_term(new, sv, c * B)
+        rows[w] = row = {v: pool.setdefault(c, c) for v, c in new.items()}
+    return row
 
 
 class MorphismSpec:

@@ -268,19 +268,28 @@ class RatMat:
     def is_invertible(self) -> bool:
         """Certified invertibility via a nonzero modular determinant.
 
-        A nonzero answer mod p proves det != 0 over Q.  A zero answer for
-        every probe prime is taken as singular; spurious zeros would need
-        the true determinant divisible by all probe primes.
+        A nonzero answer mod p proves det != 0 over Q.  A zero answer is
+        proved exact by a zero column or row; otherwise the next prime is
+        tried, and a zero for every usable probe prime is taken as singular
+        (spurious zeros would need the true determinant divisible by all of
+        them).
         """
         if self.nrows != self.ncols:
             return False
         if self.nrows == 0:
             return True
+        usable = False
         for p in _PRIMES:
             d = self.det_mod(p)
             if d is None:
                 continue
-            return d != 0
+            if d:
+                return True
+            if not all(self.cols) or len(set().union(*self.cols)) < self.nrows:
+                return False
+            usable = True
+        if usable:
+            return False
         raise RuntimeError("all probe primes divided a denominator")
 
     def inverse(self) -> "RatMat":

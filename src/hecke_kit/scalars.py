@@ -12,17 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "BiPoly",
     "ParamSpec",
     "DEFAULT_PARAM_BATTERY",
     "random_param",
     "y_seq",
 ]
-
-# Exact rationals.  Fraction already guarantees the reduced p/q normal form
-# with q >= 1 and arbitrary-precision integers.
-Rat = Fraction
 
 
 class BiPoly:
@@ -53,6 +48,13 @@ class BiPoly:
             else:
                 acc.pop((i, j), None)
         object.__setattr__(self, "terms", acc)
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "BiPoly":
+        """Adopt a term dict that is already clean (no zero coefficients)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -89,18 +91,35 @@ class BiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BiPoly(list(self.terms.items()) + list(other.terms.items()))
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for k, c in small.items():
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return BiPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return BiPoly._wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            c = out.get(k, 0) - c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return BiPoly._wrap(out)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -121,7 +140,7 @@ class BiPoly:
                     out[key] = c
                 else:
                     del out[key]
-        return BiPoly(out)
+        return BiPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -248,6 +267,14 @@ A = BiPoly.var_a()
 B = BiPoly.var_b()
 
 
+def parse_rational(text: str) -> Fraction:
+    """An integer or p/q fraction; malformed text or q = 0 raises ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """An exact rational specialization point (a0, b0).
@@ -268,7 +295,7 @@ class ParamSpec:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'a,b', got {text!r}")
-        return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return cls(parse_rational(parts[0]), parse_rational(parts[1]))
 
     @property
     def label(self) -> str:

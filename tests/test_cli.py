@@ -187,6 +187,16 @@ def test_check_thm44_default_modules(capsys):
     assert code == 0 and "overall: PASS" in out
 
 
+@pytest.mark.parametrize("extra", [["--params", "1/0,1"],
+                                   ["--params", "1,0", "--module", "scalar:1/0"]])
+def test_zero_denominator_is_an_input_error(capsys, extra):
+    code, _, err = run(capsys, "check", "mackey", "--group", "A2",
+                       "--I", "1", "--J", "2", *extra)
+    assert code == 2
+    assert err.count("\n") == 1 and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_out_report_matches_stdout_json(capsys, tmp_path):
     path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "check", "algebra", "--group", "A2",

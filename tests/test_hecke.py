@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hecke_kit.coxeter import NotDoubleCosetMinimal, get_system
+from hecke_kit.coxeter import CoxeterMatrix, CoxeterSystem, NotDoubleCosetMinimal, get_system
 from hecke_kit.hecke import (
     BasisMismatch,
     HeckeElement,
@@ -135,6 +135,35 @@ def test_change_basis_round_trip_and_compatibility():
     for _ in range(15):
         x, y = rand_elem(rng, S4), rand_elem(rng, S4)
         assert (x * y).change_basis("opi") == x.change_basis("opi") * y.change_basis("opi")
+
+
+@pytest.mark.parametrize("name", ["B3", "I2(5)", "H3"])
+def test_change_basis_is_the_product_of_shifted_generators(name):
+    # pi_w = prod (opi_s + a) and opi_w = prod (pi_s - a) over w's reduced word
+    sys = get_system(name)
+    a_pi, a_opi = unit(sys).scale(A), unit(sys, "opi").scale(A)
+    for w in range(sys.size):
+        to_opi, to_pi = unit(sys, "opi"), unit(sys)
+        for s in reversed(sys.reduced_word(w)):
+            to_opi = (G(sys, s, "opi") + a_opi) * to_opi
+            to_pi = (G(sys, s) - a_pi) * to_pi
+        assert E(sys, w).change_basis("opi") == to_opi
+        assert E(sys, w, "opi").change_basis("pi") == to_pi
+
+
+def test_basis_change_table_lives_on_each_system():
+    one, two = (CoxeterSystem(CoxeterMatrix.named("B3")) for _ in range(2))
+    for sys in (one, two):
+        for w in range(sys.size):
+            E(sys, w).change_basis("opi")
+            E(sys, w, "opi").change_basis("pi")
+    assert one.basis_change_rows is not two.basis_change_rows
+    assert set(one.basis_change_rows) == {"pi", "opi"}
+    for to in ("pi", "opi"):
+        rows = one.basis_change_rows[to][0]
+        assert len(rows) == one.size
+        assert rows == two.basis_change_rows[to][0]
+    assert get_system("A2").basis_change_rows is not get_system("A3").basis_change_rows
 
 
 def test_basis_mismatch():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_kit import linalg
 from hecke_kit.linalg import RatMat, intertwiner_rows, kernel_basis
 
 F = Fraction
@@ -154,6 +155,30 @@ def test_invertibility_certificate_matches_exact_determinant():
         else:
             seen_singular += 1
     assert seen_singular >= 5 and seen_invertible >= 5
+
+
+def test_invertible_when_determinant_divides_by_probe_primes():
+    # a zero mod the first probe prime (or the first two) is not exact
+    p1, p2 = 2147483647, 2147483629
+    for det in (p1, p1 * p2):
+        m = RatMat.from_rows([[det]])
+        assert m.is_invertible()
+        assert (m @ m.inverse()).is_identity()
+    assert RatMat.from_rows([[p1, 0], [0, p2]]).is_invertible()
+
+
+def test_singular_by_zero_line_without_further_primes(monkeypatch):
+    calls = []
+    det_mod = RatMat.det_mod
+    monkeypatch.setattr(RatMat, "det_mod", lambda self, p: calls.append(p) or det_mod(self, p))
+    for rows in ([[1, 0], [2, 0]], [[1, 2], [0, 0]], [[0]]):
+        calls.clear()
+        assert not RatMat.from_rows(rows).is_invertible()
+        assert len(calls) == 1
+    # singular without a zero line: every probe prime must give zero
+    calls.clear()
+    assert not RatMat.from_rows([[1, 2], [2, 4]]).is_invertible()
+    assert len(calls) == len(linalg._PRIMES)
 
 
 def test_inverse_round_trip():

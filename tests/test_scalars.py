@@ -20,6 +20,47 @@ def test_zero_terms_dropped():
     assert BiPoly([((2, 2), 0)]).is_zero()
 
 
+def test_cancellation_leaves_no_terms():
+    rng = random.Random(13)
+    for _ in range(100):
+        p = rand_poly(rng)
+        assert (p + (-p)).terms == {}
+        assert (p - p).terms == {}
+        assert (-p + p).terms == {}
+    assert ((A - B) * (A + B) - (A * A - B * B)).terms == {}
+    assert (A * 0).terms == {} and (0 * B).terms == {}
+
+
+def test_arithmetic_matches_constructor_normalization():
+    # the public constructor, given the raw term lists, is the reference
+    rng = random.Random(14)
+    for _ in range(200):
+        p, q = rand_poly(rng), rand_poly(rng)
+        pt, qt = list(p.terms.items()), list(q.terms.items())
+        assert (p + q).terms == BiPoly(pt + qt).terms
+        assert (p - q).terms == BiPoly(pt + [(k, -c) for k, c in qt]).terms
+        assert (-p).terms == BiPoly([(k, -c) for k, c in pt]).terms
+        prod = [((i1 + i2, j1 + j2), c1 * c2) for (i1, j1), c1 in pt for (i2, j2), c2 in qt]
+        assert (p * q).terms == BiPoly(prod).terms
+        assert 0 not in (p + q).terms.values() and 0 not in (p * q).terms.values()
+
+
+def test_equal_polynomials_hash_equal():
+    routes = [
+        (A + B) * (A - B),
+        A * A - B * B,
+        BiPoly.parse("a^2 - b^2"),
+        BiPoly([((0, 2), -1), ((2, 0), 1), ((1, 1), 0)]),
+        (A + 1) * (A - 1) - B * B + 1,
+        -(B * B - A ** 2),
+    ]
+    for p in routes:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+    assert hash(A - A) == hash(BiPoly.zero())
+    seen = {p: i for i, p in enumerate(routes)}
+    assert len(seen) == 1
+
+
 def test_rendering_examples():
     # (-a)*a^2 + b*(-a), graded display with the degree-3 term first
     p = (-A) * A ** 2 + B * (-A)
