@@ -4,7 +4,8 @@ Three subcommands: `describe` prints group and coset structure, `check` runs
 one verification family on a chosen instance, and `suite` runs the whole
 acceptance battery.  All structured output is JSON; text output is a
 rendering of the same data.  Exit code 0 means every check passed, 1 means
-some check failed, 2 means the request itself was invalid.
+some check failed, 2 means the request itself was invalid, and 3 means an
+internal fault stopped the run before it could decide.
 """
 
 from __future__ import annotations
@@ -316,6 +317,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
+    except Exception as e:
+        # never exit 1 on a fault: 1 would claim that a check failed
+        print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

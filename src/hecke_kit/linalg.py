@@ -1,26 +1,55 @@
 """Exact sparse linear algebra over the rationals.
 
 Module action matrices here are mostly near-permutation sparse, so matrices
-are stored column-major as dicts {row: Fraction}.  Invertibility is certified
-by a nonzero determinant modulo a large prime after clearing denominators,
-which is a sound (one-sided) proof of invertibility over Q.
+are stored column-major as dicts {row: value}.  Every stored value is the
+true rational entry, normalised by `_q`: a plain int when it is integral and
+a Fraction only when its denominator is not 1, never zero and never a float.
+At integer parameter points every module matrix is integral, so its
+arithmetic stays in int operations, which are far cheaper than Fraction ones.
+Invertibility is certified by a nonzero determinant modulo a large prime
+after clearing denominators, which is a sound (one-sided) proof of
+invertibility over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 __all__ = ["RatMat", "kernel_basis", "intertwiner_rows"]
 
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _q(v) -> int | Fraction:
+    """An exact rational as stored in a RatMat: int if integral, else Fraction.
+
+    Accepts ints, Fractions, decimal or "p/q" strings and floats (converted
+    exactly), and never returns a float or a Fraction with denominator 1.
+    """
+    cls = v.__class__
+    if cls is int:
+        return v
+    if cls is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _inv(v) -> Fraction:
+    """1/v as a Fraction, for a nonzero normalised entry v."""
+    if v.__class__ is int:
+        return Fraction(1, v)
+    return Fraction(v.denominator, v.numerator)
 
 
 class RatMat:
-    """A rows x cols matrix of Fractions, stored as one dict per column."""
+    """A rows x cols rational matrix, stored as one dict per column.
+
+    `cols[j]` maps a row index to the nonzero entry at (row, j), held as an
+    int when integral and as a Fraction otherwise (see `_q`).  Code that
+    writes into `cols` directly must store values in that form.
+    """
 
     __slots__ = ("nrows", "ncols", "cols")
 
@@ -41,7 +70,7 @@ class RatMat:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [{i: _ONE} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows, nrows=None, ncols=None):
@@ -53,7 +82,7 @@ class RatMat:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for c, val in enumerate(row):
-                v = Fraction(val)
+                v = _q(val)
                 if v:
                     m.cols[c][r] = v
         return m
@@ -63,7 +92,7 @@ class RatMat:
         """Square 0/1 matrix with a single 1 at (row_of_col[j], j)."""
         n = len(row_of_col)
         assert sorted(row_of_col) == list(range(n))
-        return cls(n, n, [{r: _ONE} for r in row_of_col])
+        return cls(n, n, [{r: 1} for r in row_of_col])
 
     @classmethod
     def block_diag(cls, blocks):
@@ -88,7 +117,7 @@ class RatMat:
                 for ra, va in cola.items():
                     base = ra * b.nrows
                     for rb, vb in colb.items():
-                        col[base + rb] = va * vb
+                        col[base + rb] = _q(va * vb)
         return out
 
     # -- basic ops ---------------------------------------------------------
@@ -96,11 +125,11 @@ class RatMat:
     def copy(self):
         return RatMat(self.nrows, self.ncols, [dict(c) for c in self.cols])
 
-    def entry(self, r, c) -> Fraction:
-        return self.cols[c].get(r, _ZERO)
+    def entry(self, r, c) -> int | Fraction:
+        return self.cols[c].get(r, 0)
 
     def set_entry(self, r, c, v):
-        v = Fraction(v)
+        v = _q(v)
         if v:
             self.cols[c][r] = v
         else:
@@ -119,12 +148,13 @@ class RatMat:
     def __add__(self, other):
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
         out = self.copy()
-        for j, col in enumerate(other.cols):
-            ocol = out.cols[j]
+        for ocol, col in zip(out.cols, other.cols):
             for r, v in col.items():
-                w = ocol.get(r, _ZERO) + v
-                if w:
-                    ocol[r] = w
+                w = ocol.get(r)
+                if w is None:
+                    ocol[r] = v
+                elif w := w + v:
+                    ocol[r] = w if w.__class__ is int else _q(w)
                 else:
                     del ocol[r]
         return out
@@ -133,39 +163,61 @@ class RatMat:
         return RatMat(self.nrows, self.ncols, [{r: -v for r, v in c.items()} for c in self.cols])
 
     def __sub__(self, other):
-        return self + (-other)
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        out = self.copy()
+        for ocol, col in zip(out.cols, other.cols):
+            for r, v in col.items():
+                w = ocol.get(r)
+                if w is None:
+                    ocol[r] = -v
+                elif w := w - v:
+                    ocol[r] = w if w.__class__ is int else _q(w)
+                else:
+                    del ocol[r]
+        return out
 
     def scale(self, c) -> "RatMat":
-        c = Fraction(c)
+        c = _q(c)
         if not c:
             return RatMat.zeros(self.nrows, self.ncols)
-        return RatMat(self.nrows, self.ncols, [{r: c * v for r, v in col.items()} for col in self.cols])
+        return RatMat(self.nrows, self.ncols,
+                      [{r: _q(c * v) for r, v in col.items()} for col in self.cols])
 
     def __matmul__(self, other: "RatMat") -> "RatMat":
         assert self.ncols == other.nrows, f"shape mismatch {self.ncols} vs {other.nrows}"
         out = RatMat(self.nrows, other.ncols)
-        mycols = self.cols
         for j, bcol in enumerate(other.cols):
-            acc: dict[int, Fraction] = {}
-            for i, bv in bcol.items():
+            out.cols[j] = self.matvec(bcol)
+        return out
+
+    def matvec(self, vec: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+        # A Fraction operand goes on the left, and a first term is stored
+        # rather than added to 0: int-op-Fraction takes the slower reflected
+        # path through Fraction.__radd__/__rmul__.
+        acc: dict[int, int | Fraction] = {}
+        mycols = self.cols
+        for i, bv in vec.items():
+            if bv.__class__ is int:
                 for r, av in mycols[i].items():
-                    w = acc.get(r, _ZERO) + av * bv
-                    if w:
+                    w = acc.get(r)
+                    if w is None:
+                        acc[r] = av * bv
+                    elif w := w + av * bv:
                         acc[r] = w
                     else:
                         del acc[r]
-            out.cols[j] = acc
-        return out
-
-    def matvec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        acc: dict[int, Fraction] = {}
-        for i, bv in vec.items():
-            for r, av in self.cols[i].items():
-                w = acc.get(r, _ZERO) + av * bv
-                if w:
-                    acc[r] = w
-                else:
-                    del acc[r]
+            else:
+                for r, av in mycols[i].items():
+                    w = acc.get(r)
+                    if w is None:
+                        acc[r] = bv * av
+                    elif w := bv * av + w:
+                        acc[r] = w
+                    else:
+                        del acc[r]
+        for r, w in acc.items():
+            if w.__class__ is not int:
+                acc[r] = _q(w)
         return acc
 
     def transpose(self) -> "RatMat":
@@ -181,11 +233,11 @@ class RatMat:
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
             return False
-        return all(col == {j: _ONE} for j, col in enumerate(self.cols))
+        return all(col == {j: 1} for j, col in enumerate(self.cols))
 
-    def max_abs(self) -> Fraction:
+    def max_abs(self) -> int | Fraction:
         """Largest absolute entry; the exact residual of a difference matrix."""
-        best = _ZERO
+        best = 0
         for col in self.cols:
             for v in col.values():
                 if abs(v) > best:
@@ -196,7 +248,7 @@ class RatMat:
         return sum(len(c) for c in self.cols)
 
     def to_rows(self):
-        dense = [[_ZERO] * self.ncols for _ in range(self.nrows)]
+        dense = [[0] * self.ncols for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for r, v in col.items():
                 dense[r][j] = v
@@ -236,10 +288,17 @@ class RatMat:
             for j in row:
                 col_index[j].add(r)
         alive = set(range(n))
+        # lazy heap of (len(row), row): a row is pushed again whenever its
+        # length changes, and entries of finished rows or old lengths are
+        # skipped, so each pop is the smallest alive row, lowest index first
+        heap = [(len(row), r) for r, row in enumerate(rows)]
+        heapify(heap)
         det = 1
         for _ in range(n):
-            pivot_r = min(alive, key=lambda r: (len(rows[r]), r), default=None)
-            if pivot_r is None or not rows[pivot_r]:
+            size, pivot_r = heappop(heap)
+            while pivot_r not in alive or size != len(rows[pivot_r]):
+                size, pivot_r = heappop(heap)
+            if not size:
                 return 0
             pr = rows[pivot_r]
             pivot_c = min(pr)
@@ -251,6 +310,7 @@ class RatMat:
                 if r == pivot_r or r not in alive:
                     continue
                 row = rows[r]
+                before = len(row)
                 factor = row[pivot_c] * inv % p
                 for j, v in pr.items():
                     w = (row.get(j, 0) - factor * v) % p
@@ -261,6 +321,8 @@ class RatMat:
                     elif j in row:
                         del row[j]
                         col_index[j].discard(r)
+                if len(row) != before:
+                    heappush(heap, (len(row), r))
             for j in pr:
                 col_index[j].discard(pivot_r)
         return det % p
@@ -301,9 +363,7 @@ class RatMat:
         for j, col in enumerate(self.cols):
             for r, v in col.items():
                 rows[r][j] = v
-        aug = [dict() for _ in range(n)]
-        for r in range(n):
-            aug[r][r] = _ONE
+        aug = [{r: 1} for r in range(n)]
         perm = list(range(n))
         for c in range(n):
             pr = next((r for r in range(c, n) if rows[perm[r]].get(c)), None)
@@ -311,11 +371,12 @@ class RatMat:
                 raise ValueError("matrix is singular")
             perm[c], perm[pr] = perm[pr], perm[c]
             prow, paug = rows[perm[c]], aug[perm[c]]
-            inv = 1 / prow[c]
-            for j in list(prow):
-                prow[j] *= inv
-            for j in list(paug):
-                paug[j] *= inv
+            if prow[c] != 1:
+                inv = _inv(prow[c])
+                for j, v in prow.items():
+                    prow[j] = _q(inv * v)
+                for j, v in paug.items():
+                    paug[j] = _q(inv * v)
             for r in range(n):
                 if r == c:
                     continue
@@ -323,19 +384,15 @@ class RatMat:
                 f = row.get(c)
                 if not f:
                     continue
-                for j, v in prow.items():
-                    w = row.get(j, _ZERO) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        row.pop(j, None)
-                raug = aug[perm[r]]
-                for j, v in paug.items():
-                    w = raug.get(j, _ZERO) - f * v
-                    if w:
-                        raug[j] = w
-                    else:
-                        raug.pop(j, None)
+                for dst, src in ((row, prow), (aug[perm[r]], paug)):
+                    for j, v in src.items():
+                        w = dst.get(j)
+                        if w is None:
+                            dst[j] = _q(-(f * v))
+                        elif w := w - f * v:
+                            dst[j] = w if w.__class__ is int else _q(w)
+                        else:
+                            del dst[j]
         out = RatMat(n, n)
         for r in range(n):
             for j, v in aug[perm[r]].items():
@@ -343,12 +400,14 @@ class RatMat:
         return out
 
 
-def kernel_basis(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+def kernel_basis(rows: list[dict[int, int | Fraction]], ncols: int) -> list[dict[int, int | Fraction]]:
     """Nullspace basis of a sparse row system, one vector per free column.
 
-    Rows are dicts {col: coeff}.  Fully reduced (Gauss-Jordan) elimination
-    with a smallest-row pivot heuristic; deterministic throughout.  Returned
-    vectors are indexed by ascending free column and have a 1 in that column.
+    Rows are dicts {col: coeff}.  Fully reduced (Gauss-Jordan) elimination;
+    the pivot row is always the shortest unprocessed nonempty row, lowest
+    index first, kept in a lazy heap as in `RatMat.det_mod`.  Deterministic
+    throughout.  Returned vectors are indexed by ascending free column and
+    have a 1 in that column; their entries are normalised as in RatMat.
     """
     work = [dict(r) for r in rows if r]
     col_index: dict[int, set[int]] = {}
@@ -356,19 +415,21 @@ def kernel_basis(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, 
         for j in row:
             col_index.setdefault(j, set()).add(idx)
     unprocessed = set(range(len(work)))
+    heap = [(len(row), idx) for idx, row in enumerate(work)]
+    heapify(heap)
     pivots: dict[int, int] = {}  # col -> row index
-    while True:
-        cand = [r for r in unprocessed if work[r]]
-        if not cand:
-            break
-        r = min(cand, key=lambda i: (len(work[i]), i))
+    while heap:
+        size, r = heappop(heap)
+        if r not in unprocessed or size != len(work[r]) or not size:
+            continue
         unprocessed.discard(r)
         row = work[r]
         c = min(j for j in row if j not in pivots)
         pv = row[c]
         if pv != 1:
-            for j in list(row):
-                row[j] /= pv
+            inv = _inv(pv)
+            for j, v in row.items():
+                row[j] = _q(inv * v)
         pivots[c] = r
         for r2 in list(col_index.get(c, ())):
             if r2 == r:
@@ -377,19 +438,23 @@ def kernel_basis(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, 
             f = row2.get(c)
             if not f:
                 continue
+            before = len(row2)
             for j, v in row.items():
-                w = row2.get(j, _ZERO) - f * v
-                if w:
-                    if j not in row2:
-                        col_index.setdefault(j, set()).add(r2)
-                    row2[j] = w
+                w = row2.get(j)
+                if w is None:
+                    col_index.setdefault(j, set()).add(r2)
+                    row2[j] = _q(-(f * v))
+                elif w := w - f * v:
+                    row2[j] = w if w.__class__ is int else _q(w)
                 else:
-                    row2.pop(j, None)
+                    del row2[j]
                     col_index[j].discard(r2)
+            if r2 in unprocessed and len(row2) != before:
+                heappush(heap, (len(row2), r2))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        vec = {f: _ONE}
+        vec = {f: 1}
         for c, r in pivots.items():
             v = work[r].get(f)
             if v:
@@ -406,23 +471,24 @@ def intertwiner_rows(acts_src: list[RatMat], acts_tgt: list[RatMat], d_src: int,
     rows = []
     for A, B in zip(acts_src, acts_tgt):
         a_cols = A.cols
-        b_rows: list[dict[int, Fraction]] = [{} for _ in range(d_tgt)]
+        b_rows: list[dict[int, int | Fraction]] = [{} for _ in range(d_tgt)]
         for j, col in enumerate(B.cols):
             for r, v in col.items():
                 b_rows[r][j] = v
         for r in range(d_tgt):
             brow = b_rows[r]
+            base = r * d_src
             for c in range(d_src):
-                row: dict[int, Fraction] = {}
-                for k, v in a_cols[c].items():
-                    row[r * d_src + k] = row.get(r * d_src + k, _ZERO) + v
+                row = {base + k: v for k, v in a_cols[c].items()}
                 for k, v in brow.items():
                     key = k * d_src + c
-                    w = row.get(key, _ZERO) - v
-                    if w:
-                        row[key] = w
+                    w = row.get(key)
+                    if w is None:
+                        row[key] = -v
+                    elif w := w - v:
+                        row[key] = w if w.__class__ is int else _q(w)
                     else:
-                        row.pop(key, None)
+                        del row[key]
                 if row:
                     rows.append(row)
     return rows

@@ -132,7 +132,7 @@ def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
             raise RuntimeError("induced basis element is not coset-minimal")
         block = inst.blocks[rep_pos[tau]]
         row = block.offset + block.module.induced.pos[u] * d + k
-        fwd.cols[col][row] = Fraction(1)
+        fwd.cols[col][row] = 1
 
     bwd = RatMat.zeros(dim, dim)
     for block in inst.blocks:
@@ -141,7 +141,7 @@ def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
             target = big_info.pos[sys.mult(z, block.tau)]
             for k in range(d):
                 col = block.offset + zpos * d + k
-                bwd.cols[col][target * d + k] = Fraction(1)
+                bwd.cols[col][target * d + k] = 1
 
     return (
         ModuleMap(inst.lhs, inst.rhs, fwd, inst.J),

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, is_type_a, symmetric_group_system
 from .hecke import HeckeElement, MorphismSpec, SupportOutsideDomain
-from .linalg import RatMat, intertwiner_rows, kernel_basis
+from .linalg import RatMat, _q, intertwiner_rows, kernel_basis
 from .scalars import ParamSpec
 
 __all__ = [
@@ -146,7 +146,7 @@ class HeckeModule:
         )
 
 
-def validate(M: HeckeModule) -> list[tuple[str, bool, Fraction]]:
+def validate(M: HeckeModule) -> list[tuple[str, bool, int | Fraction]]:
     """Check the defining relations; one (name, ok, residual) entry each."""
     a0, b0 = M.params.a0, M.params.b0
     ident = RatMat.identity(M.dim)
@@ -232,7 +232,7 @@ def induce(M: HeckeModule, J) -> HeckeModule:
         if g != 0:
             j = min(sys.desc_left(g))
             parent[g] = (sys.left_table[g][j], j)
-    d, a0, b0 = M.dim, M.params.a0, M.params.b0
+    d, a0, b0 = M.dim, _q(M.params.a0), _q(M.params.b0)
     dim = len(transversal) * d
     gen_action: dict[int, RatMat] = {}
     for j in J:
@@ -244,7 +244,7 @@ def induce(M: HeckeModule, J) -> HeckeModule:
                 tpos = pos.get(sg)
                 if tpos is not None:
                     for k in range(d):
-                        mat.cols[base + k][tpos * d + k] = Fraction(1)
+                        mat.cols[base + k][tpos * d + k] = 1
                 else:
                     # s_j * gamma = gamma * s' with s' in I: act in the source
                     sp = sys.gens.index(sys.conjugate(g, sys.gens[j]))
@@ -374,7 +374,7 @@ def regular(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
     I = system.check_subset(I)
     elems = system.parabolic_elements(I)
     pos = {w: t for t, w in enumerate(elems)}
-    a0, b0 = params.a0, params.b0
+    a0, b0 = _q(params.a0), _q(params.b0)
     gen_action = {}
     for i in I:
         mat = RatMat.zeros(len(elems), len(elems))
@@ -382,7 +382,7 @@ def regular(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
             sw = system.left_table[w][i]
             col = mat.cols[pos[w]]
             if system.length[sw] > system.length[w]:
-                col[pos[sw]] = Fraction(1)
+                col[pos[sw]] = 1
             else:
                 if a0:
                     col[pos[w]] = a0
@@ -452,17 +452,17 @@ def random_conjugate(M: HeckeModule, seed: int, shears: int | None = None) -> He
         s = rng.randrange(d - 1)
         if s >= r:
             s += 1
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         for col in P.cols:           # P := (I + c*E_rs) @ P, a row operation
             if s in col:
-                v = col.get(r, Fraction(0)) + c * col[s]
+                v = col.get(r, 0) + c * col[s]
                 if v:
                     col[r] = v
                 else:
                     col.pop(r, None)
         scol, rcol = Pinv.cols[s], Pinv.cols[r]   # Pinv := Pinv @ (I - c*E_rs)
         for row, v in rcol.items():
-            w = scol.get(row, Fraction(0)) - c * v
+            w = scol.get(row, 0) - c * v
             if w:
                 scol[row] = w
             else:
@@ -547,7 +547,7 @@ class ModuleMap:
     def check(self) -> bool:
         return self.residual() == 0
 
-    def residual(self) -> Fraction:
+    def residual(self) -> int | Fraction:
         worst = Fraction(0)
         for i in self.subset:
             r = (self.matrix @ self.source.gen_action[i]

@@ -33,7 +33,7 @@ from .hecke import (
     theta,
     theta_hat,
 )
-from .linalg import RatMat
+from .linalg import RatMat, _q
 from .repmod import (
     HeckeModule,
     ModuleMap,
@@ -72,7 +72,7 @@ def kron_swap(dm: int, dn: int) -> RatMat:
     out = RatMat.zeros(dm * dn, dm * dn)
     for p in range(dm):
         for q in range(dn):
-            out.cols[p * dn + q][q * dm + p] = Fraction(1)
+            out.cols[p * dn + q][q * dm + p] = 1
     return out
 
 
@@ -118,7 +118,7 @@ def transport_induction_twist(spec: MorphismSpec, K: HeckeModule) -> ModuleMap:
         if gamma == 0:
             block = RatMat.zeros(big.dim, d)
             for c in range(d):
-                block.cols[c][c] = Fraction(1)
+                block.cols[c][c] = 1
         else:
             parent, letter = rhs.induced.parent[gamma]
             mat = letter_act.get(letter)
@@ -329,7 +329,7 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
     d = T.dim
     dim = bt_h.dim
     lines = {g: one_line(big, g) for g in info.transversal}
-    a0, b0 = M.params.a0, M.params.b0
+    a0, b0 = _q(M.params.a0), _q(M.params.b0)
 
     # action on the alternate basis, straight from one-line case analysis
     alt_action: dict[int, RatMat] = {}
@@ -352,12 +352,12 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
                 other = info.pos[elem_of_line(big, tuple(swapped))] * d
                 if p1 <= m:
                     for c in range(d):
-                        mat.cols[base + c][other + c] = Fraction(1)
+                        mat.cols[base + c][other + c] = 1
                         if a0:
-                            mat.cols[base + c][base + c] = Fraction(a0)
+                            mat.cols[base + c][base + c] = a0
                 elif b0:
                     for c in range(d):
-                        mat.cols[base + c][other + c] = Fraction(b0)
+                        mat.cols[base + c][other + c] = b0
         alt_action[i0] = mat
 
     # alternate basis expanded in the standard one, up the transversal tree
@@ -369,11 +369,11 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
         if g == 0:
             blockmat = RatMat.zeros(dim, d)
             for c in range(d):
-                blockmat.cols[c][c] = Fraction(1)
+                blockmat.cols[c][c] = 1
         else:
             parent, letter = info.parent[g]
             prev = cols[parent]
-            blockmat = (bt_h.gen_action[letter] @ prev) - prev.scale(Fraction(a0))
+            blockmat = (bt_h.gen_action[letter] @ prev) - prev.scale(a0)
         cols[g] = blockmat
         for c in range(d):
             change.cols[base + c] = dict(blockmat.cols[c])
@@ -384,7 +384,7 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
         src = info.pos[g] * d
         dst = bt.induced.pos[gp[g]] * d
         for c in range(d):
-            P.cols[src + c][dst + c] = Fraction(1)
+            P.cols[src + c][dst + c] = 1
 
     return Pairing(m, n, big, bt, bt_h, T, dual_T, alt_action, change, P, gp, lines)
 
@@ -472,9 +472,9 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
             elif a_br == "A3":
                 predA_at = {gp[_swap_values(big, ga, i0 + 1, i0 + 2)]: ident}
             else:
-                predA_at = {gp[g]: ident.scale(Fraction(a0))}
+                predA_at = {gp[g]: ident.scale(a0)}
                 other = gp[_swap_values(big, ga, i0 + 1, i0 + 2)]
-                predA_at[other] = predA_at.get(other, zero) + ident.scale(Fraction(b0))
+                predA_at[other] = predA_at.get(other, zero) + ident.scale(b0)
             for lam in trans:
                 b_br = brB[lam]
                 la = data.lines[lam]
@@ -485,11 +485,11 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
                 elif b_br == "B3":
                     predB = zero
                     if g == gp[lam]:
-                        predB = predB + ident.scale(Fraction(a0))
+                        predB = predB + ident.scale(a0)
                     if g == gp[_swap_values(big, la, r - i0 - 1, r - i0)]:
                         predB = predB + ident
                 else:
-                    predB = (ident.scale(Fraction(b0))
+                    predB = (ident.scale(b0)
                              if g == gp[_swap_values(big, la, r - i0 - 1, r - i0)]
                              else zero)
                 blk = _block(Lmat, info.pos[g] * d, info.pos[lam] * d, d)

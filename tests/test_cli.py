@@ -203,3 +203,17 @@ def test_out_report_matches_stdout_json(capsys, tmp_path):
                        "--format", "json", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("all probe primes divided a denominator"),
+                                 TypeError("unsupported operand type(s)")])
+def test_internal_fault_exits_3_not_1(capsys, monkeypatch, exc):
+    # 1 means "a check failed", so a fault inside a check must not map to it
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_thm44", boom)
+    code, out, err = run(capsys, "check", "thm44", "--m", "2", "--n", "1",
+                         "--params", "2,3")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"

@@ -117,7 +117,7 @@ def test_block_diag():
 
 def dense_det(m):
     n = m.nrows
-    rows = [row[:] for row in m.to_rows()]
+    rows = [[F(v) for v in row] for row in m.to_rows()]
     det = F(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if rows[r][c]), None)
@@ -221,7 +221,7 @@ def test_kernel_basis_random_rank_nullity():
         for vec in basis:
             assert m.matvec(vec) == {}
         # rank-nullity against a dense rank computation
-        dense = [row[:] for row in m.to_rows()]
+        dense = [[F(v) for v in row] for row in m.to_rows()]
         rank = 0
         for c in range(ncols):
             piv = next((r for r in range(rank, nrows) if dense[r][c]), None)
@@ -255,6 +255,100 @@ def test_kernel_vectors_are_independent():
             assert mine, "vector must own a coordinate"
             frees.append(min(mine))
         assert len(set(frees)) == len(basis)
+
+
+def _kernel_basis_min_scan(rows, ncols):
+    """Reference: the kernel solver that rescans every unprocessed row for the
+    pivot at each step (min over (len(row), index)), on Fraction entries."""
+    work = [{j: F(v) for j, v in r.items()} for r in rows if r]
+    col_index = {}
+    for idx, row in enumerate(work):
+        for j in row:
+            col_index.setdefault(j, set()).add(idx)
+    unprocessed = set(range(len(work)))
+    pivots = {}
+    while True:
+        cand = [r for r in unprocessed if work[r]]
+        if not cand:
+            break
+        r = min(cand, key=lambda i: (len(work[i]), i))
+        unprocessed.discard(r)
+        row = work[r]
+        c = min(j for j in row if j not in pivots)
+        pv = row[c]
+        if pv != 1:
+            for j in list(row):
+                row[j] /= pv
+        pivots[c] = r
+        for r2 in list(col_index.get(c, ())):
+            if r2 == r:
+                continue
+            row2 = work[r2]
+            f = row2.get(c)
+            if not f:
+                continue
+            for j, v in row.items():
+                w = row2.get(j, F(0)) - f * v
+                if w:
+                    if j not in row2:
+                        col_index.setdefault(j, set()).add(r2)
+                    row2[j] = w
+                else:
+                    row2.pop(j, None)
+                    col_index[j].discard(r2)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = {f: F(1)}
+        for c, r in pivots.items():
+            v = work[r].get(f)
+            if v:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+def _random_sparse_system(rng, nrows, ncols):
+    """Sparse rows with int and Fraction entries; some rows are combinations
+    of earlier ones, so elimination fills in, shrinks and empties rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.choice([-2, -1, 1, F(1, 2)])
+            row = dict(a)
+            for j, v in b.items():
+                row[j] = row.get(j, 0) + k * v
+        else:
+            row = {c: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 1, 2, 3]))
+                   for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 5)))}
+        rows.append({j: linalg._q(v) for j, v in row.items() if v})
+    return rows
+
+
+def test_kernel_basis_matches_min_scan_reference():
+    # the pivot heap must choose the same pivots in the same order as the
+    # full rescan, so vectors, values and key order all agree
+    rng = random.Random(29)
+    for _ in range(80):
+        ncols = rng.randint(1, 24)
+        rows = _random_sparse_system(rng, rng.randint(0, 30), ncols)
+        got = kernel_basis(rows, ncols)
+        want = _kernel_basis_min_scan(rows, ncols)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+        assert all(x.__class__ is int or x.denominator != 1 for v in got for x in v.values())
+
+
+def test_det_mod_matches_exact_determinant_on_sparse_integral_matrices():
+    rng = random.Random(30)
+    p = linalg._PRIMES[0]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        rows = _random_sparse_system(rng, n, n)
+        m = RatMat.zeros(n, n)
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                m.set_entry(r, c, v.numerator if isinstance(v, F) else v)
+        assert m.det_mod(p) == dense_det(m) % p
 
 
 def test_intertwiner_rows_reproduce_commutant():
