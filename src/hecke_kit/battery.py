@@ -25,15 +25,13 @@ from .hecke import (
 )
 from .mackey import build_sides, verify, verify_tensor_decomposition
 from .repmod import (
-    HeckeModule,
-    companion,
     direct_sum,
     hom_space,
     iso_test_detail,
+    one_dim_factor,
     random_conjugate,
     regular,
     scalar,
-    scalar_roots,
 )
 from .report import VerificationReport
 from .scalars import DEFAULT_PARAM_BATTERY, ParamSpec
@@ -60,21 +58,6 @@ def _all_subsets(sys: CoxeterSystem):
     for r in range(len(gens) + 1):
         out.extend(frozenset(c) for c in combinations(gens, r))
     return out
-
-
-def one_dim_factor(sys: CoxeterSystem, params: ParamSpec) -> HeckeModule:
-    """The preferred small factor module over the full subset.
-
-    A scalar module on the largest quadratic root when one exists; at
-    parameter points with no rational root, the two-dimensional companion
-    module stands in.
-    """
-    if not sys.full_subset:
-        return scalar(sys, frozenset(), 1, params)
-    roots = scalar_roots(params)
-    if roots:
-        return scalar(sys, sys.full_subset, roots[-1], params)
-    return companion(sys, sys.full_subset, params)
 
 
 # -- scenes ------------------------------------------------------------------
@@ -185,7 +168,7 @@ def mackey_scene(seed: int = 0) -> VerificationReport:
             count = 0
             for J, I in product(subsets, subsets):
                 mods = [regular(sys, I, params),
-                        one_dim_factor_subset(sys, I, params),
+                        one_dim_factor(sys, I, params),
                         random_conjugate(regular(sys, I, params), seed=seed + 5)]
                 for M in mods:
                     count += 1
@@ -203,17 +186,6 @@ def mackey_scene(seed: int = 0) -> VerificationReport:
     return rep
 
 
-def one_dim_factor_subset(sys: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
-    """Like one_dim_factor but over an arbitrary subset."""
-    I = sys.check_subset(I)
-    if not I:
-        return scalar(sys, I, 1, params)
-    roots = scalar_roots(params)
-    if roots:
-        return scalar(sys, I, roots[-1], params)
-    return companion(sys, I, params)
-
-
 TENSOR_SHAPES = ((1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 2))
 
 
@@ -229,18 +201,14 @@ def tensor_scene(seed: int = 0) -> VerificationReport:
         sm = symmetric_group_system(m)
         sn = symmetric_group_system(n)
         for params in DEFAULT_PARAM_BATTERY:
-            for fname, make in (("one-dim", one_dim_factor), ("regular", full_regular)):
-                M, N = make(sm, params), make(sn, params)
+            for fname, make in (("one-dim", one_dim_factor), ("regular", regular)):
+                M, N = make(sm, sm.full_subset, params), make(sn, sn.full_subset, params)
                 r = verify_tensor_decomposition(M, N, k, seed=seed)
                 rep.add(f"(m,n,k)=({m},{n},{k}) {fname} factors at ({params})",
                         r.passed,
                         detail=None if r.passed else
                         {"failures": [c.name for c in r.checks if not c.ok]})
     return rep
-
-
-def full_regular(sys: CoxeterSystem, params: ParamSpec) -> HeckeModule:
-    return regular(sys, sys.full_subset, params)
 
 
 def braid_scene() -> VerificationReport:
@@ -313,8 +281,8 @@ def product_twist_scene(seed: int = 0) -> VerificationReport:
     def factors(m, params, small):
         sys = systems[m]
         if small or m == 1:
-            return one_dim_factor(sys, params)
-        return full_regular(sys, params)
+            return one_dim_factor(sys, sys.full_subset, params)
+        return regular(sys, sys.full_subset, params)
 
     shapes = [(1, 1, False), (2, 1, False), (1, 2, False), (2, 2, False),
               (3, 1, True), (1, 3, True), (3, 2, True), (2, 3, True), (3, 3, True)]
@@ -330,9 +298,9 @@ def product_twist_scene(seed: int = 0) -> VerificationReport:
                 detail={"shapes": len(shapes), "failures": [str(b) for b in bad]} if bad
                 else {"shapes": len(shapes)})
         # the restriction statements against an independent module
-        M = full_regular(systems[2], params)
-        N = one_dim_factor(systems[1], params)
-        L = full_regular(systems[3], params)
+        M = regular(systems[2], systems[2].full_subset, params)
+        N = one_dim_factor(systems[1], systems[1].full_subset, params)
+        L = regular(systems[3], systems[3].full_subset, params)
         r = verify_thm44(M, N, L=L, seed=seed)
         rep.add(f"restriction parts with the regular three-letter module at ({params})",
                 r.passed,
@@ -359,8 +327,9 @@ def dual_twist_scene(seed: int = 0) -> VerificationReport:
         sm = symmetric_group_system(m)
         sn = symmetric_group_system(n)
         for params in DEFAULT_PARAM_BATTERY:
-            M = full_regular(sm, params) if m == 2 else one_dim_factor(sm, params)
-            N = one_dim_factor(sn, params)
+            M = (regular(sm, sm.full_subset, params) if m == 2
+                 else one_dim_factor(sm, sm.full_subset, params))
+            N = one_dim_factor(sn, sn.full_subset, params)
             r = verify_thm48(M, N, cross_check=True, seed=seed)
             for c in r.checks:
                 if c.name.startswith("case rule") and c.detail:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 from .battery import run_suite
 from .coxeter import GroupTooLarge, get_system, symmetric_group_system
 from .hecke import check_theta_braid, verify_algebra
 from .mackey import build_sides, verify, verify_tensor_decomposition
-from .repmod import companion, random_conjugate, regular, scalar, scalar_roots
+from .repmod import companion, one_dim_factor, random_conjugate, regular, scalar
 from .report import TOOL_VERSION, VerificationReport
 from .scalars import DEFAULT_PARAM_BATTERY, ParamSpec, parse_rational
 from .twists import verify_thm44, verify_thm48
@@ -51,13 +50,11 @@ def build_module(token: str, system, subset, params: ParamSpec, seed: int):
         return regular(system, subset, params)
     if kind == "scalar":
         if arg:
-            lam = parse_rational(arg)
-        else:
-            roots = scalar_roots(params)
-            if not roots and subset:
-                raise ValueError(f"no rational scalar module exists at ({params})")
-            lam = roots[-1] if roots else Fraction(1)
-        return scalar(system, subset, lam, params)
+            return scalar(system, subset, parse_rational(arg), params)
+        module = one_dim_factor(system, subset, params)
+        if module.dim != 1:
+            raise ValueError(f"no rational scalar module exists at ({params})")
+        return module
     if kind == "companion":
         return companion(system, subset, params)
     if kind == "random":
@@ -151,8 +148,8 @@ def _check_corollary(args) -> VerificationReport:
                   "params": [str(p) for p in _params_list(args)]},
         seed=args.seed,
     )
-    sm = symmetric_group_system(args.m)
-    sn = symmetric_group_system(args.n)
+    sm = symmetric_group_system(args.m, cap=args.group_cap)
+    sn = symmetric_group_system(args.n, cap=args.group_cap)
     for params in _params_list(args):
         M = build_module(args.M, sm, sm.full_subset, params, args.seed)
         N = build_module(args.N, sn, sn.full_subset, params, args.seed)
@@ -170,8 +167,8 @@ def _check_twists(args, which: str) -> VerificationReport:
                   "params": [str(p) for p in _params_list(args)]},
         seed=args.seed,
     )
-    sm = symmetric_group_system(args.m)
-    sn = symmetric_group_system(args.n)
+    sm = symmetric_group_system(args.m, cap=args.group_cap)
+    sn = symmetric_group_system(args.n, cap=args.group_cap)
     for params in _params_list(args):
         M = build_module(args.M, sm, sm.full_subset, params, args.seed)
         N = build_module(args.N, sn, sn.full_subset, params, args.seed)
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--group-cap", type=int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default="report.json")
     return parser

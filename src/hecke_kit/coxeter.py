@@ -281,6 +281,7 @@ class CoxeterSystem:
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None, name: str | None = None):
         cap = default_cap() if cap is None else cap
+        self.cap = cap
         self.matrix = matrix
         self.name = name
         self.rank = matrix.rank
@@ -348,9 +349,6 @@ class CoxeterSystem:
     @property
     def full_subset(self) -> frozenset:
         return frozenset(range(self.rank))
-
-    def asc_left(self, w: int) -> frozenset:
-        return self._asc_left[w]
 
     def asc_right(self, w: int) -> frozenset:
         return self._asc_right[w]

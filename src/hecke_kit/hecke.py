@@ -171,20 +171,6 @@ class HeckeElement:
                 _add_term(out, sw, c * B)
         return out
 
-    def _gen_right(self, s: int, coeffs: dict) -> dict:
-        sys = self.system
-        length, table = sys.length, sys.right_table
-        a_coef = _DESCENT_A[self.basis]
-        out: dict[int, BiPoly] = {}
-        for w, c in coeffs.items():
-            ws = table[w][s]
-            if length[ws] > length[w]:
-                _add_term(out, ws, c)
-            else:
-                _add_term(out, w, c * a_coef)
-                _add_term(out, ws, c * B)
-        return out
-
     def __mul__(self, other):
         if isinstance(other, (int, BiPoly)):
             return self.scale(other)
@@ -204,10 +190,6 @@ class HeckeElement:
         if isinstance(other, (int, BiPoly)):
             return self.scale(other)
         return NotImplemented
-
-    def mul_gen(self, i: int) -> "HeckeElement":
-        """Right multiplication by the i-th generator's basis element."""
-        return HeckeElement(self.system, self._gen_right(i, self.coeffs), self.basis)
 
     # -- basis change ------------------------------------------------------
 

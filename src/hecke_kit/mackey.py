@@ -30,8 +30,7 @@ from .repmod import (
     direct_sum,
     induce,
     iso_test_detail,
-    outer_tensor,
-    embed,
+    product_factor,
     restrict,
     twist_along,
     validate,
@@ -224,12 +223,10 @@ def verify_tensor_decomposition(M: HeckeModule, N: HeckeModule, k: int,
     n = N.system.rank + 1
     if not 1 <= k <= m + n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {m + n - 1}")
-    from .coxeter import symmetric_group_system
-
-    big_sys = symmetric_group_system(m + n)
+    T = product_factor(M, N)
+    big_sys = T.system
     I = big_sys.full_subset - {m - 1}
     J = big_sys.full_subset - {k - 1}
-    T = outer_tensor(embed(M, big_sys, 0), embed(N, big_sys, m))
     inst = build_sides(big_sys, I, J, T)
     rep = VerificationReport(title="two-factor restriction decomposition",
                              instance=inst.describe(), seed=seed)

@@ -42,6 +42,7 @@ __all__ = [
     "induce",
     "outer_tensor",
     "embed",
+    "product_factor",
     "boxtimes",
     "twist_along",
     "direct_sum",
@@ -49,6 +50,7 @@ __all__ = [
     "scalar",
     "scalar_roots",
     "companion",
+    "one_dim_factor",
     "random_conjugate",
     "hom_space",
     "iso_test",
@@ -308,12 +310,13 @@ def embed(M: HeckeModule, big: CoxeterSystem, offset: int) -> HeckeModule:
                        {i + offset: M.gen_action[i] for i in M.subset})
 
 
-def boxtimes(M: HeckeModule, N: HeckeModule) -> HeckeModule:
-    """Induction product of symmetric-group modules.
+def product_factor(M: HeckeModule, N: HeckeModule) -> HeckeModule:
+    """The factor M (x) N whose induction is the induction product.
 
     M over all of S_m and N over all of S_n sit side by side inside S_{m+n}
-    (generators of N shifted past the junction), and the outer tensor is
-    induced up to the full algebra.  dim = C(m+n, m) * dimM * dimN.
+    (generators of N shifted past the junction), as one module over the
+    two-block parabolic.  S_{m+n} is enumerated under the smaller of the
+    factor systems' caps.
     """
     for X in (M, N):
         if not is_type_a(X.system.matrix):
@@ -324,9 +327,16 @@ def boxtimes(M: HeckeModule, N: HeckeModule) -> HeckeModule:
         raise ParamMismatch(f"({M.params}) vs ({N.params})")
     m = M.system.rank + 1
     n = N.system.rank + 1
-    big = symmetric_group_system(m + n)
-    T = outer_tensor(embed(M, big, 0), embed(N, big, m))
-    return induce(T, big.full_subset)
+    big = symmetric_group_system(m + n, cap=min(M.system.cap, N.system.cap))
+    return outer_tensor(embed(M, big, 0), embed(N, big, m))
+
+
+def boxtimes(M: HeckeModule, N: HeckeModule) -> HeckeModule:
+    """Induction product of symmetric-group modules: the product factor
+    induced up to the full algebra.  dim = C(m+n, m) * dimM * dimN.
+    """
+    T = product_factor(M, N)
+    return induce(T, T.system.full_subset)
 
 
 def twist_along(spec: MorphismSpec, M: HeckeModule) -> HeckeModule:
@@ -436,6 +446,23 @@ def companion(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
     I = system.check_subset(I)
     c = RatMat.from_rows([[0, params.b0], [1, params.a0]])
     return HeckeModule(system, I, params, 2, {i: c.copy() for i in I})
+
+
+def one_dim_factor(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
+    """The preferred small module over H_I.
+
+    A scalar module on the larger quadratic root when one exists; at
+    parameter points with no rational root, the two-dimensional companion
+    module stands in.  The empty subset has no generators to constrain, so
+    there it is always one-dimensional.
+    """
+    I = system.check_subset(I)
+    if not I:
+        return scalar(system, I, 1, params)
+    roots = scalar_roots(params)
+    if roots:
+        return scalar(system, I, roots[-1], params)
+    return companion(system, I, params)
 
 
 def random_conjugate(M: HeckeModule, seed: int, shears: int | None = None) -> HeckeModule:

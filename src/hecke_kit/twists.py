@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import CoxeterSystem, elem_of_line, one_line, symmetric_group_system
+from .coxeter import CoxeterSystem, elem_of_line, one_line
 from .hecke import (
     MorphismSpec,
     chi,
@@ -38,10 +38,10 @@ from .repmod import (
     HeckeModule,
     ModuleMap,
     act_elem,
-    embed,
+    boxtimes,
     induce,
     iso_test,
-    outer_tensor,
+    product_factor,
     restrict,
     twist_along,
 )
@@ -135,15 +135,6 @@ def transport_induction_twist(spec: MorphismSpec, K: HeckeModule) -> ModuleMap:
 # -- automorphism twists of the product -------------------------------------
 
 
-def _product_setup(M: HeckeModule, N: HeckeModule):
-    m = M.system.rank + 1
-    n = N.system.rank + 1
-    big = symmetric_group_system(m + n)
-    T = outer_tensor(embed(M, big, 0), embed(N, big, m))
-    bt = induce(T, big.full_subset)
-    return m, n, big, T, bt
-
-
 def _twist_full(builder, V: HeckeModule) -> HeckeModule:
     return twist_along(builder(V.system), V)
 
@@ -151,12 +142,10 @@ def _twist_full(builder, V: HeckeModule) -> HeckeModule:
 def _swapped_product_map(builder, M: HeckeModule, N: HeckeModule) -> ModuleMap:
     """Transport precomposed with the factor swap; source is the product of
     the twisted factors in reversed order, target the twist of the product."""
-    m, n, big, T, bt = _product_setup(M, N)
+    T = product_factor(M, N)
+    big = T.system
     base = transport_induction_twist(builder(big), T)
-    Ntw = _twist_full(builder, N)
-    Mtw = _twist_full(builder, M)
-    source = induce(outer_tensor(embed(Ntw, big, 0), embed(Mtw, big, n)),
-                    big.full_subset)
+    source = boxtimes(_twist_full(builder, N), _twist_full(builder, M))
     sw = kron_swap(N.dim, M.dim)
     swfull = RatMat.block_diag([sw] * len(source.induced.transversal))
     return ModuleMap(source, base.target, base.matrix @ swfull, big.full_subset)
@@ -170,11 +159,10 @@ def thm44_part1_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
 
 def thm44_part2_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
     """Product of the flipped factors onto the flip twist of the product."""
-    m, n, big, T, bt = _product_setup(M, N)
+    T = product_factor(M, N)
+    big = T.system
     base = transport_induction_twist(theta(big), T)
-    source = induce(outer_tensor(embed(_twist_full(theta, M), big, 0),
-                                 embed(_twist_full(theta, N), big, m)),
-                    big.full_subset)
+    source = boxtimes(_twist_full(theta, M), _twist_full(theta, N))
     return ModuleMap(source, base.target, base.matrix, big.full_subset)
 
 
@@ -205,6 +193,16 @@ def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
     return lhs, rhs
 
 
+def _cross_check(rep: VerificationReport, tag: str, source: HeckeModule,
+                 target: HeckeModule, cross_check, seed: int) -> None:
+    """The independent isomorphism search, unless cross_check is False or
+    is "auto" and the modules exceed dimension 64."""
+    if cross_check is False or (cross_check == "auto" and source.dim > 64):
+        return
+    found = iso_test(source, target, seed=seed)
+    rep.add(f"{tag}: isomorphism search concurs", found is not None)
+
+
 def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
                  cross_check="auto", seed: int = 0) -> VerificationReport:
     """All six compatibility statements for the automorphism twists.
@@ -214,9 +212,12 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
     constructions produce equal matrices.  cross_check="auto" additionally
     runs the independent isomorphism search on instances of modest size.
     """
-    m, n, big, T, bt = _product_setup(M, N)
+    T = product_factor(M, N)
+    big = T.system
+    m = M.system.rank + 1
+    n = N.system.rank + 1
     if L is None:
-        L = bt
+        L = induce(T, big.full_subset)
     if L.system.matrix != big.matrix or L.subset != big.full_subset:
         raise ValueError("restriction module must live over the full product algebra")
     rep = VerificationReport(
@@ -226,14 +227,6 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
         seed=seed,
     )
 
-    def do_iso(tag, src, tgt):
-        if cross_check is False:
-            return
-        if cross_check == "auto" and src.dim > 64:
-            return
-        found = iso_test(src, tgt, seed=seed)
-        rep.add(f"{tag}: isomorphism search concurs", found is not None)
-
     builders = [("part 1 (relabel of a product)", thm44_part1_map),
                 ("part 2 (flip of a product)", thm44_part2_map),
                 ("part 3 (composite of a product)", thm44_part3_map)]
@@ -241,7 +234,7 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
         fmap = make(M, N)
         rep.add_residual(f"{tag}: transport map is equivariant", fmap.residual())
         rep.add(f"{tag}: transport map is invertible", fmap.matrix.is_invertible())
-        do_iso(tag, fmap.source, fmap.target)
+        _cross_check(rep, tag, fmap.source, fmap.target, cross_check, seed)
 
     rest = [("part 4 (relabel of a restriction)", phi, True),
             ("part 5 (flip of a restriction)", theta, False),
@@ -252,7 +245,7 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
         for j in sorted(lhs.subset):
             worst = max(worst, (lhs.gen_action[j] - rhs.gen_action[j]).max_abs())
         rep.add_residual(f"{tag}: identity map intertwines the two sides", worst)
-        do_iso(tag, lhs, rhs)
+        _cross_check(rep, tag, lhs, rhs, cross_check, seed)
     return rep
 
 
@@ -316,12 +309,13 @@ class Pairing:
 
 
 def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
-    m, n, big, T, bt = _product_setup(M, N)
+    bt = boxtimes(M, N)
+    bt_h = boxtimes(_twist_full(phi_hat, M), _twist_full(phi_hat, N))
+    T, dual_T = bt.induced.source, bt_h.induced.source
+    big = bt.system
+    m = M.system.rank + 1
+    n = N.system.rank + 1
     r = m + n
-    Mh = _twist_full(phi_hat, M)
-    Nh = _twist_full(phi_hat, N)
-    dual_T = outer_tensor(embed(Mh, big, 0), embed(Nh, big, m))
-    bt_h = induce(dual_T, big.full_subset)
     info = bt_h.induced
     if info.transversal != bt.induced.transversal:
         raise RuntimeError("transversal mismatch between the two products")
@@ -555,12 +549,7 @@ def verify_thm48(M: HeckeModule, N: HeckeModule, cross_check="auto",
     def add_map(tag, fmap):
         rep.add_residual(f"{tag}: map is equivariant", fmap.residual())
         rep.add(f"{tag}: map is invertible", fmap.matrix.is_invertible())
-        if cross_check is False:
-            return
-        if cross_check == "auto" and fmap.source.dim > 64:
-            return
-        found = iso_test(fmap.source, fmap.target, seed=seed)
-        rep.add(f"{tag}: isomorphism search concurs", found is not None)
+        _cross_check(rep, tag, fmap.source, fmap.target, cross_check, seed)
 
     X1 = _part1_from(data)
     add_map("part 1 (dual-relabel of a product)", X1)
@@ -569,23 +558,17 @@ def verify_thm48(M: HeckeModule, N: HeckeModule, cross_check="auto",
     Mc = _twist_full(chi, M)
     h1 = thm44_part1_map(M, N)
     X1p = thm48_part1_map(_twist_full(phi, N), _twist_full(phi, M))
-    m, n = data.m, data.n
-    src2 = induce(outer_tensor(embed(Nc, big, 0), embed(Mc, big, n)), S)
-    X2 = ModuleMap(src2, _twist_full(chi, bt),
+    X2 = ModuleMap(boxtimes(Nc, Mc), _twist_full(chi, bt),
                    h1.inverse().matrix.transpose() @ X1p.matrix, S)
     add_map("part 2 (dual of a product)", X2)
 
     h2p = thm44_part2_map(Nc, Mc)
-    src3 = induce(outer_tensor(embed(_twist_full(theta_hat, N), big, 0),
-                               embed(_twist_full(theta_hat, M), big, n)), S)
-    X3 = ModuleMap(src3, _twist_full(theta_hat, bt),
-                   X2.matrix @ h2p.matrix, S)
+    src3 = boxtimes(_twist_full(theta_hat, N), _twist_full(theta_hat, M))
+    X3 = ModuleMap(src3, _twist_full(theta_hat, bt), X2.matrix @ h2p.matrix, S)
     add_map("part 3 (dual-flip of a product)", X3)
 
     h3p = thm44_part3_map(Nc, Mc)
-    src4 = induce(outer_tensor(embed(_twist_full(omega_hat, M), big, 0),
-                               embed(_twist_full(omega_hat, N), big, m)), S)
-    X4 = ModuleMap(src4, _twist_full(omega_hat, bt),
-                   X2.matrix @ h3p.matrix, S)
+    src4 = boxtimes(_twist_full(omega_hat, M), _twist_full(omega_hat, N))
+    X4 = ModuleMap(src4, _twist_full(omega_hat, bt), X2.matrix @ h3p.matrix, S)
     add_map("part 4 (dual-composite of a product)", X4)
     return rep

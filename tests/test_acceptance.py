@@ -7,19 +7,25 @@ a handful of direct library calls pin down details the aggregated scene
 checks do not expose by name.  Every assertion is exact.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hecke_kit.battery import full_regular, one_dim_factor
 from hecke_kit.coxeter import symmetric_group_system
 from hecke_kit.mackey import verify_tensor_decomposition
+from hecke_kit.repmod import one_dim_factor, regular
 from hecke_kit.scalars import ParamSpec
 from hecke_kit.twists import verify_thm44, verify_thm48
 
 P23 = ParamSpec.parse("2,3")
+
+# sha256 of the seed-42 JSON report; any change to a check name, count,
+# detail or ordering changes it, so it guards the report's byte identity
+# across refactors and optimisations
+SEED_42_REPORT_SHA256 = "e1df4ff7c172606121359b967830236522bb666935edc91d411bb35f761210a8"
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +115,8 @@ def test_criterion_05_two_factor_decomposition_battery(suite_runs):
     # direct run: the dimension formula and interleaving representatives are
     # named sub-checks, and the independent isomorphism search certifies
     s2 = symmetric_group_system(2)
-    rep = verify_tensor_decomposition(full_regular(s2, P23),
-                                      full_regular(s2, P23), 2)
+    rep = verify_tensor_decomposition(regular(s2, s2.full_subset, P23),
+                                      regular(s2, s2.full_subset, P23), 2)
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert "interleaving patterns enumerate the double cosets" in names
@@ -155,8 +161,9 @@ def test_criterion_08_product_twist_parts_one_through_six(suite_runs):
     s1 = symmetric_group_system(1)
     s2 = symmetric_group_system(2)
     s3 = symmetric_group_system(3)
-    rep = verify_thm44(full_regular(s2, P23), one_dim_factor(s1, P23),
-                       L=full_regular(s3, P23))
+    rep = verify_thm44(regular(s2, s2.full_subset, P23),
+                       one_dim_factor(s1, s1.full_subset, P23),
+                       L=regular(s3, s3.full_subset, P23))
     assert rep.passed
     names = [c.name for c in rep.checks]
     for part in ("part 1 (relabel of a product)", "part 2 (flip of a product)",
@@ -181,8 +188,8 @@ def test_criterion_09_dual_twist_parts_and_case_coverage(suite_runs):
     # on the same instances
     s1 = symmetric_group_system(1)
     s2 = symmetric_group_system(2)
-    rep = verify_thm48(full_regular(s2, P23), one_dim_factor(s1, P23),
-                       cross_check=True)
+    rep = verify_thm48(regular(s2, s2.full_subset, P23),
+                       one_dim_factor(s1, s1.full_subset, P23), cross_check=True)
     assert rep.passed
     names = [c.name for c in rep.checks]
     for part in ("part 1 (dual-relabel of a product)",
@@ -219,3 +226,8 @@ def test_criterion_11_suite_reruns_byte_identical(suite_runs):
     assert bytes1 == bytes2
     assert report["passed"] is True
     assert report["seed"] == 42
+
+
+def test_criterion_11_seed_42_report_is_pinned(suite_runs):
+    runs, _ = suite_runs
+    assert hashlib.sha256(runs[0][1]).hexdigest() == SEED_42_REPORT_SHA256

@@ -8,11 +8,10 @@ from hecke_kit.battery import (
     braid_scene,
     conjugation_scene,
     coset_scene,
-    full_regular,
     negative_control_scene,
-    one_dim_factor,
 )
 from hecke_kit.coxeter import get_system, symmetric_group_system
+from hecke_kit.repmod import one_dim_factor, regular
 from hecke_kit.scalars import ParamSpec
 
 P10 = ParamSpec.parse("1,0")
@@ -23,23 +22,29 @@ PM11 = ParamSpec.parse("-1,1")
 
 def test_one_dim_factor_shapes():
     s2 = symmetric_group_system(2)
+    full = s2.full_subset
     def lam(m):
         return m.gen_action[0].cols[0].get(0, Fraction(0))
 
-    assert one_dim_factor(s2, P10).dim == 1
-    assert lam(one_dim_factor(s2, P10)) == Fraction(1)
-    assert lam(one_dim_factor(s2, P00)) == Fraction(0)
-    assert lam(one_dim_factor(s2, P23)) == Fraction(3)
+    assert one_dim_factor(s2, full, P10).dim == 1
+    assert lam(one_dim_factor(s2, full, P10)) == Fraction(1)
+    assert lam(one_dim_factor(s2, full, P00)) == Fraction(0)
+    assert lam(one_dim_factor(s2, full, P23)) == Fraction(3)
     # no rational root of x^2 = -x + 1: falls back to the companion module
-    assert one_dim_factor(s2, PM11).dim == 2
+    assert one_dim_factor(s2, full, PM11).dim == 2
     # the one-letter alphabet has no generators at all
     s1 = symmetric_group_system(1)
-    assert one_dim_factor(s1, PM11).dim == 1
+    assert one_dim_factor(s1, s1.full_subset, PM11).dim == 1
+    # over a proper subset of a larger group the same rule applies
+    a3 = get_system("A3")
+    assert lam(one_dim_factor(a3, {0, 2}, P23)) == Fraction(3)
+    assert one_dim_factor(a3, {0, 2}, PM11).dim == 2
+    assert one_dim_factor(a3, frozenset(), PM11).dim == 1
 
 
 def test_full_regular():
     s3 = symmetric_group_system(3)
-    m = full_regular(s3, P23)
+    m = regular(s3, s3.full_subset, P23)
     assert m.dim == 6 and m.subset == s3.full_subset
 
 

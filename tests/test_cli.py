@@ -109,6 +109,9 @@ def test_build_module_tokens():
         cli.build_module("mystery", s, full, p, 0)
     with pytest.raises(ValueError):
         cli.build_module("scalar", s, full, ParamSpec.parse("-1,1"), 0)
+    # the empty subset constrains nothing, so a scalar module exists anyway
+    m = cli.build_module("scalar", s, frozenset(), ParamSpec.parse("-1,1"), 0)
+    assert m.dim == 1 and m.subset == frozenset() and m.gen_action == {}
 
 
 def test_parse_subset():
@@ -185,6 +188,28 @@ def test_check_thm44_default_modules(capsys):
     code, out, _ = run(capsys, "check", "thm44", "--m", "2", "--n", "1",
                        "--params", "2,3")
     assert code == 0 and "overall: PASS" in out
+
+
+@pytest.mark.parametrize("cap,argv", [
+    # the factors (S_4, 24 elements) already exceed the cap
+    ("10", ["thm48", "--m", "4", "--n", "4", "--M", "scalar", "--N", "scalar"]),
+    # the factors fit under the cap, the product group (S_6 or S_4) does not
+    ("100", ["corollary", "--m", "3", "--n", "3", "--k", "3",
+             "--M", "scalar", "--N", "scalar"]),
+    ("10", ["thm44", "--m", "2", "--n", "2"]),
+    ("10", ["thm48", "--m", "2", "--n", "2", "--M", "scalar", "--N", "scalar"]),
+])
+def test_shape_commands_obey_group_cap(capsys, cap, argv):
+    code, out, err = run(capsys, "check", *argv, "--params", "2,3", "--group-cap", cap)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+
+def test_suite_takes_no_group_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", "--group-cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --group-cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--params", "1/0,1"],

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_kit.coxeter import get_system, symmetric_group_system
+from hecke_kit.coxeter import GroupTooLarge, get_system, symmetric_group_system
 from hecke_kit.hecke import SupportOutsideDomain, chi, omega, phi, phi_hat, theta
 from hecke_kit.linalg import RatMat, kernel_basis
+from hecke_kit.mackey import verify_tensor_decomposition
 from hecke_kit.repmod import (
     ElementOutsideParabolic,
     HeckeModule,
@@ -28,6 +29,7 @@ from hecke_kit.repmod import (
     module_from_json_obj,
     module_to_json_obj,
     outer_tensor,
+    product_factor,
     random_conjugate,
     regular,
     restrict,
@@ -37,6 +39,7 @@ from hecke_kit.repmod import (
     validate,
 )
 from hecke_kit.scalars import ParamSpec
+from hecke_kit.twists import build_pairing, verify_thm44, verify_thm48
 
 S1 = symmetric_group_system(1)
 S2 = get_system("A1")
@@ -204,6 +207,56 @@ def test_boxtimes_associative_up_to_iso_for_scalars():
     assert left.dim == right.dim == 6
     found = iso_test(left, right)
     assert found is not None and found.check() and found.is_invertible()
+
+
+def test_product_factor_is_the_induction_source():
+    M, N = regular(S3, S3.full_subset, P23), companion(S2, S2.full_subset, P23)
+    T = product_factor(M, N)
+    big = symmetric_group_system(5)
+    assert T.system is big
+    assert T.subset == big.full_subset - {2} and T.dim == 12
+    assert T.is_valid()
+    prod = boxtimes(M, N)
+    assert prod.induced.source.gen_action == T.gen_action
+    assert prod.gen_action == induce(T, big.full_subset).gen_action
+
+
+def test_product_system_respects_the_factor_cap():
+    small = symmetric_group_system(2, cap=10)
+    M = scalar(small, small.full_subset, 1, P10)
+    # S_2 fits under the cap, S_4 (24 elements) does not
+    with pytest.raises(GroupTooLarge):
+        boxtimes(M, M)
+
+
+PRODUCT_ENTRY_POINTS = {
+    "boxtimes": boxtimes,
+    "verify_tensor_decomposition": lambda M, N: verify_tensor_decomposition(M, N, 1),
+    "verify_thm44": verify_thm44,
+    "verify_thm48": verify_thm48,
+    "build_pairing": build_pairing,
+}
+
+
+@pytest.mark.parametrize("bad", ["proper subset", "B2", "params"])
+def test_product_entry_points_reject_a_bad_factor_alike(bad):
+    good = regular(S2, S2.full_subset, P23)
+    if bad == "proper subset":
+        M, N = regular(S3, {0}, P23), good
+        want = "induction product factors must live over the full subset"
+    elif bad == "B2":
+        b2 = get_system("B2")
+        M, N = good, regular(b2, b2.full_subset, P23)
+        want = "induction product is defined for symmetric groups only"
+    else:
+        M, N = good, regular(S2, S2.full_subset, P10)
+        want = "(2,3) vs (1,0)"
+    messages = {}
+    for name, entry in PRODUCT_ENTRY_POINTS.items():
+        with pytest.raises(ValueError) as err:
+            entry(M, N)
+        messages[name] = str(err.value)
+    assert messages == dict.fromkeys(PRODUCT_ENTRY_POINTS, want)
 
 
 # -- twists ----------------------------------------------------------------
