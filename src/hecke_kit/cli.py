@@ -15,7 +15,7 @@ import sys as _sys
 from pathlib import Path
 
 from .battery import run_suite
-from .coxeter import GroupTooLarge, get_system, symmetric_group_system
+from .coxeter import GroupTooLarge, get_system, parse_cap, symmetric_group_system
 from .hecke import check_theta_braid, verify_algebra
 from .mackey import build_sides, verify, verify_tensor_decomposition
 from .repmod import companion, one_dim_factor, random_conjugate, regular, scalar
@@ -208,8 +208,8 @@ def _emit(rep: VerificationReport, args) -> int:
 
 
 def _add_common(p, group=False, subsets=False, shape=False, modules=False):
-    p.add_argument("--group-cap", type=int, default=None,
-                   help="enumeration cap on the group size")
+    p.add_argument("--group-cap", default=None,
+                   help="enumeration cap on the group size, a positive integer")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--params", action="append", default=None, metavar="a,b",
                    help="parameter point, repeatable; default is the standard battery")
@@ -276,6 +276,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "group_cap", None) is not None:
+            args.group_cap = parse_cap(args.group_cap, "--group-cap")
         if args.command == "describe":
             obj = _describe(args)
             if args.format == "text":

@@ -25,6 +25,7 @@ __all__ = [
     "get_system",
     "symmetric_group_system",
     "default_cap",
+    "parse_cap",
     "DEFAULT_GROUP_CAP",
     "is_type_a",
     "one_line",
@@ -36,10 +37,21 @@ __all__ = [
 DEFAULT_GROUP_CAP = 200_000
 
 
+def parse_cap(raw: str, source: str) -> int:
+    """A group-size cap given as text; `source` names the flag or variable."""
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    return cap
+
+
 def default_cap() -> int:
     """Group-size cap; HECKE_KIT_CAP in the environment overrides."""
     raw = os.environ.get("HECKE_KIT_CAP")
-    return int(raw) if raw else DEFAULT_GROUP_CAP
+    return parse_cap(raw, "HECKE_KIT_CAP") if raw else DEFAULT_GROUP_CAP
 
 
 class GroupTooLarge(RuntimeError):
@@ -151,6 +163,12 @@ class CoxeterMatrix:
 # All generators are involutions, so the table keeps one column per generator
 # and the edge alpha --s--> beta is always stored in both directions.  The
 # relators are the braid words (s_i s_j)^{m_ij}.
+#
+# Once the table closes, one breadth-first pass from the identity (generators
+# in order) over the raw union-find table numbers the live cosets; their rows
+# are then renumbered in place and the dead rows are dropped with the raw
+# table.  A breadth-first numbering of the Cayley graph lists the elements in
+# order of length, which CoxeterSystem checks and relies on.
 
 
 def _enumerate(matrix: CoxeterMatrix, cap: int) -> list[list[int]]:
@@ -249,34 +267,39 @@ def _enumerate(matrix: CoxeterMatrix, cap: int) -> list[list[int]]:
                         define(alpha, s)
         alpha += 1
 
-    # compact to live cosets, resolving stale entries through find
-    live_ids = [x for x in range(len(table)) if find(x) == x]
-    relabel = {x: k for k, x in enumerate(live_ids)}
-    compact = [[relabel[find(table[x][s])] for s in range(n)] for x in live_ids]
-
-    # canonical numbering: breadth-first from the identity, generators in order
-    order = [relabel[find(0)]]
-    seen = {order[0]}
+    # canonical numbering: breadth-first over the live cosets from the
+    # identity (coset 0 stays a root, since merge keeps the smaller id),
+    # generators in order, resolving stale entries through find
+    newpos = [-1] * len(table)
+    newpos[0] = 0
+    order = [0]
     head = 0
     while head < len(order):
-        cur = order[head]
+        row = table[order[head]]
         head += 1
         for s in range(n):
-            nxt = compact[cur][s]
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = find(row[s])
+            if newpos[nxt] == -1:
+                newpos[nxt] = len(order)
                 order.append(nxt)
-    if len(order) != len(compact):
+    if len(order) != live:
         raise RuntimeError("enumeration produced a disconnected table")
-    newpos = {old: k for k, old in enumerate(order)}
-    return [[newpos[compact[old][s]] for s in range(n)] for old in order]
+    # renumber the live rows in place; the dead rows go with the raw table
+    for old in order:
+        row = table[old]
+        for s in range(n):
+            row[s] = newpos[find(row[s])]
+    return [table[old] for old in order]
 
 
 class CoxeterSystem:
     """A finite Coxeter group with dense multiplication tables.
 
     Elements are integers 0..size-1 with 0 the identity.  right_table[w][s]
-    is w*s and left_table[w][s] is s*w.
+    is w*s and left_table[w][s] is s*w.  The numbering is breadth-first from
+    the identity, so lengths never decrease along it: by_length is simply
+    range(size), and the constructor raises RuntimeError if a table breaks
+    that order.
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None, name: str | None = None):
@@ -285,47 +308,45 @@ class CoxeterSystem:
         self.matrix = matrix
         self.name = name
         self.rank = matrix.rank
-        self.right_table = _enumerate(matrix, cap)
-        self.size = len(self.right_table)
+        right = self.right_table = _enumerate(matrix, cap)
+        self.size = len(right)
 
-        # lengths: geodesic distance from the identity in the Cayley graph
-        self.length = [-1] * self.size
-        self.length[0] = 0
-        self._bfs_parent = [-1] * self.size
-        self._bfs_letter = [-1] * self.size
+        # lengths: geodesic distance from the identity in the Cayley graph,
+        # computed apart from the numbering so that the check below tests it
+        length = self.length = [-1] * self.size
+        length[0] = 0
+        bfs_parent = [-1] * self.size
+        bfs_letter = [-1] * self.size
         frontier = [0]
         while frontier:
             nxt = []
             for w in frontier:
                 for s in range(self.rank):
-                    u = self.right_table[w][s]
-                    if self.length[u] == -1:
-                        self.length[u] = self.length[w] + 1
-                        self._bfs_parent[u] = w
-                        self._bfs_letter[u] = s
+                    u = right[w][s]
+                    if length[u] == -1:
+                        length[u] = length[w] + 1
+                        bfs_parent[u] = w
+                        bfs_letter[u] = s
                         nxt.append(u)
             frontier = nxt
+        # the numbering is breadth-first, so it already lists W by length
+        if any(length[w] > length[w + 1] for w in range(self.size - 1)):
+            raise RuntimeError("element numbering is not in length order; table corrupt")
+        self.by_length = range(self.size)
 
-        # left multiplication: s*(p*t) = (s*p)*t along the BFS forest
-        by_length = sorted(range(self.size), key=lambda w: (self.length[w], w))
-        self.left_table = [[-1] * self.rank for _ in range(self.size)]
-        for w in by_length:
-            if w == 0:
-                self.left_table[0] = list(self.right_table[0])
-                continue
-            p, t = self._bfs_parent[w], self._bfs_letter[w]
-            for s in range(self.rank):
-                self.left_table[w][s] = self.right_table[self.left_table[p][s]][t]
+        # left multiplication: s*(p*t) = (s*p)*t along the BFS forest, whose
+        # parents come before their children in the numbering
+        self.left_table = [list(right[0])]
+        for w in range(1, self.size):
+            left_p, t = self.left_table[bfs_parent[w]], bfs_letter[w]
+            self.left_table.append([right[left_p[s]][t] for s in range(self.rank)])
 
-        self.inverse = [-1] * self.size
-        self.inverse[0] = 0
-        for w in by_length:
-            if w:
-                p, t = self._bfs_parent[w], self._bfs_letter[w]
-                self.inverse[w] = self.left_table[self.inverse[p]][t]
+        self.inverse = [0] * self.size
+        for w in range(1, self.size):
+            self.inverse[w] = self.left_table[self.inverse[bfs_parent[w]]][bfs_letter[w]]
 
-        full = frozenset(range(self.rank))
-        self.gens = self.right_table[0]  # element index of each generator
+        full = self.full_subset = frozenset(range(self.rank))
+        self.gens = right[0]  # element index of each generator
         # at most 2^rank distinct ascent sets: keep one object for each
         subsets: dict[frozenset, frozenset] = {}
 
@@ -335,7 +356,6 @@ class CoxeterSystem:
 
         self._asc_left = [ascents(self.left_table, w) for w in range(self.size)]
         self._asc_right = [ascents(self.right_table, w) for w in range(self.size)]
-        self.by_length = by_length
         self._parabolic_cache: dict[frozenset, list[int]] = {}
         self._gen_of_elem = {g: i for i, g in enumerate(self.gens)}
         self._reduced_words: dict[int, tuple[int, ...]] = {0: ()}
@@ -345,10 +365,6 @@ class CoxeterSystem:
         self.basis_change_rows: dict[str, tuple[dict, dict]] = {}
 
     # -- basics ------------------------------------------------------------
-
-    @property
-    def full_subset(self) -> frozenset:
-        return frozenset(range(self.rank))
 
     def asc_right(self, w: int) -> frozenset:
         return self._asc_right[w]

@@ -76,6 +76,21 @@ def test_describe_env_cap(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_group_cap_flag_must_be_a_positive_integer(capsys, value):
+    code, out, err = run(capsys, "describe", "--group", "A2", "--group-cap", value)
+    assert code == 2 and out == ""
+    assert err == f"error: --group-cap must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("HECKE_KIT_CAP", value)
+    code, out, err = run(capsys, "describe", "--group", "A2")
+    assert code == 2 and out == ""
+    assert err == f"error: HECKE_KIT_CAP must be a positive integer, got {value!r}\n"
+
+
 def test_describe_j_without_i(capsys):
     code, _, err = run(capsys, "describe", "--group", "A3", "--J", "1")
     assert code == 2 and "--I" in err

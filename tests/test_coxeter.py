@@ -5,10 +5,14 @@ from the definition, classical order formulas, one-line arithmetic), the
 oracle here uses that route rather than the implementation under test.
 """
 
+import hashlib
+import json
 import random
+import tracemalloc
 
 import pytest
 
+from hecke_kit import cli, coxeter
 from hecke_kit.coxeter import (
     CoxeterMatrix,
     CoxeterSystem,
@@ -150,6 +154,74 @@ def test_longest_element_lengths():
     assert S4.length[S4.longest()] == 6
     assert B3.length[B3.longest()] == 9
     assert get_system("I2(7)").length[get_system("I2(7)").longest()] == 7
+
+
+# Element indices reach the report bytes (coset and double coset listings are
+# in numbering order), so the numbering is pinned: sha256 of the canonical
+# JSON of each system's tables.
+TABLE_DIGESTS = {
+    "B3": "5fd417f2da12842b5bd91e821647f98d959c9848a89d36cb0e73f1909544ea5a",
+    "H3": "7538e2b06ce7285d44e7954dc256c23d8dcafedcc76c370dc2e4ea81a65831df",
+    "F4": "70726fb9be0912a19495ac11ecc4c8553e7fde80da10dd0ced3fb142b6752114",
+    "D4": "50cef7b7f2881b52f687374062d8740e4cf0b4ea9d642cd134e885213ee6647b",
+    "I2(7)": "10aa2b30ddba4d276c6c2faa6234032f10039a5efea446c4310ee75d73471f79",
+    "H4": "32f9110907d09fed66fee9d6a382dc388a3440c0960bcc656f03e7f12b9d2a28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_numbering_is_pinned(name):
+    sys = get_system(name)
+    tables = {"right_table": sys.right_table, "left_table": sys.left_table,
+              "inverse": sys.inverse, "length": sys.length}
+    text = json.dumps(tables, separators=(",", ":"), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
+def test_numbering_lists_elements_by_length():
+    for sys in (S4, B3, get_system("H3")):
+        assert sys.by_length == range(sys.size)
+        assert all(sys.length[w] <= sys.length[w + 1] for w in range(sys.size - 1))
+
+
+def test_h4_build_peak_stays_near_its_retained_size():
+    # the enumeration's working state must not outweigh the system it builds
+    matrix = CoxeterMatrix.named("H4")
+    tracemalloc.start()
+    try:
+        system = CoxeterSystem(matrix)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.size == 14_400
+    assert peak <= 1.25 * retained
+
+
+def test_out_of_length_order_numbering_is_a_fault(monkeypatch, capsys):
+    real_enumerate = coxeter._enumerate
+
+    def swap_a_generator_with_w0(matrix, cap):
+        table = real_enumerate(matrix, cap)
+        pos = list(range(len(table)))
+        pos[1], pos[-1] = pos[-1], pos[1]
+        out = [None] * len(table)
+        for old, row in enumerate(table):
+            out[pos[old]] = [pos[x] for x in row]
+        return out
+
+    monkeypatch.setattr(coxeter, "_enumerate", swap_a_generator_with_w0)
+    with pytest.raises(RuntimeError, match="not in length order"):
+        CoxeterSystem(CoxeterMatrix.named("B3"))
+    # a cap no other test uses, so get_system cannot answer from its cache
+    code = cli.main(["describe", "--group", "B3", "--group-cap", "4321"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: RuntimeError: ") and err.count("\n") == 1
+
+
+def test_full_subset_is_built_once():
+    assert B3.full_subset == frozenset({0, 1, 2})
+    assert B3.full_subset is B3.full_subset
 
 
 # -- multiplication, inverses, words ---------------------------------------
