@@ -148,14 +148,6 @@ class CoxeterMatrix:
             rows[0][1] = rows[1][0] = 5
         return cls.from_lists(rows)
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "CoxeterMatrix":
-        """Accept {"n": 3, "m": [[1,3,2],[3,1,3],[2,3,1]]}."""
-        mat = cls.from_lists(obj["m"])
-        if "n" in obj and int(obj["n"]) != mat.rank:
-            raise ValueError("rank field disagrees with matrix size")
-        return mat
-
 
 # ---------------------------------------------------------------------------
 # Todd-Coxeter enumeration over the trivial subgroup.
@@ -304,6 +296,8 @@ class CoxeterSystem:
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None, name: str | None = None):
         cap = default_cap() if cap is None else cap
+        if type(cap) is not int or cap < 1:
+            raise ValueError(f"group cap must be a positive integer, got {cap!r}")
         self.cap = cap
         self.matrix = matrix
         self.name = name
@@ -411,7 +405,7 @@ class CoxeterSystem:
 
     def longest(self) -> int:
         top = self.by_length[-1]
-        if self.length[self.by_length[-2]] == self.length[top]:
+        if top and self.length[top - 1] == self.length[top]:
             raise RuntimeError("longest element is not unique; table corrupt")
         return top
 
@@ -567,17 +561,15 @@ _SYSTEM_CACHE: dict[tuple, CoxeterSystem] = {}
 
 
 def get_system(spec, cap: int | None = None) -> CoxeterSystem:
-    """Resolve a name, Coxeter matrix, or JSON-style dict to a cached system."""
+    """Resolve a name or a Coxeter matrix to a cached system."""
     if isinstance(spec, CoxeterSystem):
         return spec
     if isinstance(spec, str):
         matrix, name = CoxeterMatrix.named(spec), spec
     elif isinstance(spec, CoxeterMatrix):
         matrix, name = spec, None
-    elif isinstance(spec, dict):
-        matrix, name = CoxeterMatrix.from_json_obj(spec), None
     else:
-        matrix, name = CoxeterMatrix.from_lists(spec), None
+        raise TypeError(f"expected a group name or a CoxeterMatrix, got {type(spec).__name__}")
     key = (matrix.orders, cap if cap is not None else default_cap())
     if key not in _SYSTEM_CACHE:
         _SYSTEM_CACHE[key] = CoxeterSystem(matrix, cap=key[1], name=name)

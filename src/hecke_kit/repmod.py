@@ -55,8 +55,6 @@ __all__ = [
     "hom_space",
     "iso_test",
     "iso_test_detail",
-    "module_to_json_obj",
-    "module_from_json_obj",
 ]
 
 
@@ -98,11 +96,11 @@ class InducedInfo:
 class HeckeModule:
     """Immutable module data: generator matrices over Q for one subset."""
 
-    __slots__ = ("system", "subset", "params", "dim", "gen_action", "labels",
+    __slots__ = ("system", "subset", "params", "dim", "gen_action",
                  "induced", "summands", "offsets")
 
     def __init__(self, system: CoxeterSystem, subset, params: ParamSpec, dim: int,
-                 gen_action: dict[int, RatMat], labels=None,
+                 gen_action: dict[int, RatMat],
                  induced: Optional[InducedInfo] = None, summands=None):
         subset = system.check_subset(subset)
         if set(gen_action) != set(subset):
@@ -116,7 +114,6 @@ class HeckeModule:
         self.params = params
         self.dim = dim
         self.gen_action = dict(gen_action)
-        self.labels = labels
         self.induced = induced
         self.summands = list(summands) if summands else None
         if self.summands:
@@ -210,7 +207,7 @@ def restrict(M: HeckeModule, I_sub) -> HeckeModule:
     return HeckeModule(
         M.system, I_sub, M.params, M.dim,
         {i: M.gen_action[i] for i in I_sub},
-        labels=M.labels, summands=parts,
+        summands=parts,
     )
 
 
@@ -399,8 +396,7 @@ def regular(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
                 if b0:
                     col[pos[sw]] = b0
         gen_action[i] = mat
-    return HeckeModule(system, I, params, len(elems), gen_action,
-                       labels=[system.elem_name(w) for w in elems])
+    return HeckeModule(system, I, params, len(elems), gen_action)
 
 
 def scalar_roots(params: ParamSpec) -> list[Fraction]:
@@ -588,12 +584,6 @@ class ModuleMap:
     def inverse(self) -> "ModuleMap":
         return ModuleMap(self.target, self.source, self.matrix.inverse(), self.subset)
 
-    def then(self, nxt: "ModuleMap") -> "ModuleMap":
-        if nxt.source.dim != self.target.dim:
-            raise ValueError("composition dimension mismatch")
-        return ModuleMap(self.source, nxt.target, nxt.matrix @ self.matrix,
-                         self.subset & nxt.subset)
-
 
 def _search_invertible(basis: list[RatMat], seed: int) -> Optional[RatMat]:
     for X in basis:
@@ -656,41 +646,3 @@ def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
 def iso_test(M: HeckeModule, N: HeckeModule, seed: int = 0) -> Optional[ModuleMap]:
     return iso_test_detail(M, N, seed)["map"]
 
-
-# -- serialization ---------------------------------------------------------
-
-
-def _system_json_tag(system: CoxeterSystem):
-    if system.name:
-        return system.name
-    return {"n": system.rank, "m": [list(row) for row in system.matrix.orders]}
-
-
-def module_to_json_obj(M: HeckeModule) -> dict:
-    return {
-        "group": _system_json_tag(M.system),
-        "subset": [i + 1 for i in sorted(M.subset)],
-        "params": {"a": str(M.params.a0), "b": str(M.params.b0)},
-        "dim": M.dim,
-        "gens": {
-            str(i + 1): [[str(M.gen_action[i].entry(r, c)) for c in range(M.dim)]
-                         for r in range(M.dim)]
-            for i in sorted(M.subset)
-        },
-    }
-
-
-def module_from_json_obj(obj: dict, cap: int | None = None) -> HeckeModule:
-    from .coxeter import get_system
-
-    system = get_system(obj["group"], cap=cap)
-    subset = frozenset(int(i) - 1 for i in obj["subset"])
-    params = ParamSpec(Fraction(obj["params"]["a"]), Fraction(obj["params"]["b"]))
-    dim = int(obj["dim"])
-    gens = {}
-    for key, rows in obj["gens"].items():
-        i = int(key) - 1
-        gens[i] = RatMat.from_rows([[Fraction(x) for x in row] for row in rows], dim, dim)
-    if set(gens) != set(subset):
-        raise ValueError("gens keys must match subset")
-    return HeckeModule(system, subset, params, dim, gens)

@@ -81,10 +81,6 @@ class BiPoly:
     def var_b(cls) -> "BiPoly":
         return cls({(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, c: int, i: int, j: int) -> "BiPoly":
-        return cls({(i, j): int(c)})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

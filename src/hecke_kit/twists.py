@@ -2,15 +2,16 @@
 
 Two families of statements are verified here. For the algebra automorphisms
 (generator relabelling through the longest element, the affine flip
-pi -> a - pi, and their composite) the induced module of a twisted source is
-carried onto the twist of the induced module by an explicit transport map
-that applies the automorphism to the transversal part of each basis line and
-re-expands the image in the plain induced basis. For the
-anti-automorphisms the link is a bilinear pairing between the product module
-and the product of the dual twists, presented on the alternate (shifted)
-induced basis; the pairing is a permutation of dual lines, and its
-equivariance is checked both as a global matrix identity and branch by
-branch through the one-line case analysis.
+pi -> a - pi, and their composite) an induced module is carried onto its
+twist by an explicit transport map from the induction of the twisted source:
+it applies the automorphism to the transversal part of each basis line and
+re-expands the image in the plain induced basis. The transport takes the
+induced module itself, so each check builds the product M (x) N once and
+hands it to every part. For the anti-automorphisms the link is a bilinear
+pairing between the product module and the product of the dual twists,
+presented on the alternate (shifted) induced basis; the pairing is a
+permutation of dual lines, and its equivariance is checked both as a global
+matrix identity and branch by branch through the one-line case analysis.
 
 Transport works over any finite Coxeter system; the pairing machinery is
 specific to symmetric groups, where the transversal has one-line form and
@@ -41,7 +42,6 @@ from .repmod import (
     boxtimes,
     induce,
     iso_test,
-    product_factor,
     restrict,
     twist_along,
 )
@@ -84,20 +84,26 @@ def _image_gen_index(spec: MorphismSpec, j: int) -> int:
     return spec.system.gens.index(words[0])
 
 
-def transport_induction_twist(spec: MorphismSpec, K: HeckeModule) -> ModuleMap:
+def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap:
     """Explicit isomorphism from the induction of the twisted source onto the
     twist of the induced module: x tensor k maps to alpha(x) tensor k.
 
-    Works for any finite Coxeter system and any automorphism whose generator
-    images are affine in a single generator.  The image of a transversal line
-    is computed up the transversal tree: each extra letter multiplies by the
-    image of that generator inside the plain induced module, and the result
-    is invertible because images lead with a term of full length.
+    big is a module induced to the full algebra; its source K is read from
+    big.induced, and the map runs from the induction of K's twist (along the
+    automorphism restricted to the parabolic it relabels) onto the twist of
+    big.  Works for any finite Coxeter system and any automorphism whose
+    generator images are affine in a single generator.  The image of a
+    transversal line is computed up the transversal tree: each extra letter
+    multiplies by the image of that generator inside big, and the result is
+    invertible because images lead with a term of full length.
     """
     if spec.kind != "auto":
         raise ValueError("transport needs an automorphism")
-    sys = K.system
+    sys = big.system
     S = sys.full_subset
+    if big.induced is None or big.subset != S:
+        raise ValueError("transport needs a module induced to the full algebra")
+    K = big.induced.source
     sigma = {j: _image_gen_index(spec, j) for j in S}
     I = K.subset
     Istar = frozenset(j for j in S if sigma[j] in I)
@@ -105,7 +111,6 @@ def transport_induction_twist(spec: MorphismSpec, K: HeckeModule) -> ModuleMap:
         sys, "auto", {j: spec.images[j] for j in Istar},
         name=f"{spec.name}-restricted", domain=Istar, codomain=I,
     )
-    big = induce(K, S)
     lhs = twist_along(spec, big)
     twisted = twist_along(rspec, K)
     rhs = induce(twisted, S)
@@ -139,13 +144,18 @@ def _twist_full(builder, V: HeckeModule) -> HeckeModule:
     return twist_along(builder(V.system), V)
 
 
-def _swapped_product_map(builder, M: HeckeModule, N: HeckeModule) -> ModuleMap:
-    """Transport precomposed with the factor swap; source is the product of
-    the twisted factors in reversed order, target the twist of the product."""
-    T = product_factor(M, N)
-    big = T.system
-    base = transport_induction_twist(builder(big), T)
-    source = boxtimes(_twist_full(builder, N), _twist_full(builder, M))
+def _product_twist_map(builder, bt: HeckeModule, M: HeckeModule, N: HeckeModule,
+                       reverse: bool) -> ModuleMap:
+    """Transport of the induced product bt = M (x) N along builder's
+    automorphism, with the product of the twisted factors as its source; with
+    reverse the factors come in swapped order and the map is precomposed with
+    the factor swap."""
+    big = bt.system
+    base = transport_induction_twist(builder(big), bt)
+    tM, tN = _twist_full(builder, M), _twist_full(builder, N)
+    if not reverse:
+        return ModuleMap(boxtimes(tM, tN), base.target, base.matrix, big.full_subset)
+    source = boxtimes(tN, tM)
     sw = kron_swap(N.dim, M.dim)
     swfull = RatMat.block_diag([sw] * len(source.induced.transversal))
     return ModuleMap(source, base.target, base.matrix @ swfull, big.full_subset)
@@ -154,22 +164,18 @@ def _swapped_product_map(builder, M: HeckeModule, N: HeckeModule) -> ModuleMap:
 def thm44_part1_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
     """Reversed product of the relabelled factors onto the relabelling twist
     of the product."""
-    return _swapped_product_map(phi, M, N)
+    return _product_twist_map(phi, boxtimes(M, N), M, N, reverse=True)
 
 
 def thm44_part2_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
     """Product of the flipped factors onto the flip twist of the product."""
-    T = product_factor(M, N)
-    big = T.system
-    base = transport_induction_twist(theta(big), T)
-    source = boxtimes(_twist_full(theta, M), _twist_full(theta, N))
-    return ModuleMap(source, base.target, base.matrix, big.full_subset)
+    return _product_twist_map(theta, boxtimes(M, N), M, N, reverse=False)
 
 
 def thm44_part3_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
     """Reversed product of the composite-twisted factors onto the composite
     twist of the product."""
-    return _swapped_product_map(omega, M, N)
+    return _product_twist_map(omega, boxtimes(M, N), M, N, reverse=True)
 
 
 def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
@@ -179,7 +185,6 @@ def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
     what the relabelling automorphism does to the two-block parabolic.
     """
     sys = L.system
-    r = m + n
     sub_mn = sys.full_subset - {m - 1}
     sub_nm = sys.full_subset - {n - 1}
     inner = sub_nm if flip else sub_mn
@@ -212,12 +217,12 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
     constructions produce equal matrices.  cross_check="auto" additionally
     runs the independent isomorphism search on instances of modest size.
     """
-    T = product_factor(M, N)
-    big = T.system
+    bt = boxtimes(M, N)
+    big = bt.system
     m = M.system.rank + 1
     n = N.system.rank + 1
     if L is None:
-        L = induce(T, big.full_subset)
+        L = bt
     if L.system.matrix != big.matrix or L.subset != big.full_subset:
         raise ValueError("restriction module must live over the full product algebra")
     rep = VerificationReport(
@@ -227,11 +232,11 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
         seed=seed,
     )
 
-    builders = [("part 1 (relabel of a product)", thm44_part1_map),
-                ("part 2 (flip of a product)", thm44_part2_map),
-                ("part 3 (composite of a product)", thm44_part3_map)]
-    for tag, make in builders:
-        fmap = make(M, N)
+    products = [("part 1 (relabel of a product)", phi, True),
+                ("part 2 (flip of a product)", theta, False),
+                ("part 3 (composite of a product)", omega, True)]
+    for tag, builder, reverse in products:
+        fmap = _product_twist_map(builder, bt, M, N, reverse)
         rep.add_residual(f"{tag}: transport map is equivariant", fmap.residual())
         rep.add(f"{tag}: transport map is invertible", fmap.matrix.is_invertible())
         _cross_check(rep, tag, fmap.source, fmap.target, cross_check, seed)
@@ -556,18 +561,19 @@ def verify_thm48(M: HeckeModule, N: HeckeModule, cross_check="auto",
 
     Nc = _twist_full(chi, N)
     Mc = _twist_full(chi, M)
-    h1 = thm44_part1_map(M, N)
+    bt_c = boxtimes(Nc, Mc)
+    h1 = _product_twist_map(phi, bt, M, N, reverse=True)
     X1p = thm48_part1_map(_twist_full(phi, N), _twist_full(phi, M))
-    X2 = ModuleMap(boxtimes(Nc, Mc), _twist_full(chi, bt),
+    X2 = ModuleMap(bt_c, _twist_full(chi, bt),
                    h1.inverse().matrix.transpose() @ X1p.matrix, S)
     add_map("part 2 (dual of a product)", X2)
 
-    h2p = thm44_part2_map(Nc, Mc)
+    h2p = _product_twist_map(theta, bt_c, Nc, Mc, reverse=False)
     src3 = boxtimes(_twist_full(theta_hat, N), _twist_full(theta_hat, M))
     X3 = ModuleMap(src3, _twist_full(theta_hat, bt), X2.matrix @ h2p.matrix, S)
     add_map("part 3 (dual-flip of a product)", X3)
 
-    h3p = thm44_part3_map(Nc, Mc)
+    h3p = _product_twist_map(omega, bt_c, Nc, Mc, reverse=True)
     src4 = boxtimes(_twist_full(omega_hat, M), _twist_full(omega_hat, N))
     X4 = ModuleMap(src4, _twist_full(omega_hat, bt), X2.matrix @ h3p.matrix, S)
     add_map("part 4 (dual-composite of a product)", X4)

@@ -124,8 +124,23 @@ def test_classical_orders():
 
 
 def test_json_matrix_input():
-    sys = get_system({"n": 3, "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]})
+    sys = get_system(CoxeterMatrix.from_lists([[1, 3, 2], [3, 1, 3], [2, 3, 1]]))
     assert sys.size == 24
+
+
+@pytest.mark.parametrize("cap", [0, -3, "abc", 2.5, True])
+def test_library_cap_must_be_a_positive_int(cap):
+    with pytest.raises(ValueError, match="group cap must be a positive integer"):
+        CoxeterSystem(CoxeterMatrix.named("A2"), cap=cap)
+    with pytest.raises(ValueError, match="group cap must be a positive integer"):
+        get_system("A2", cap=cap)
+    with pytest.raises(ValueError, match="group cap must be a positive integer"):
+        symmetric_group_system(3, cap=cap)
+
+
+def test_get_system_rejects_other_specs():
+    with pytest.raises(TypeError):
+        get_system([[1, 3], [3, 1]])
 
 
 def test_cap_enforced():
@@ -154,6 +169,10 @@ def test_longest_element_lengths():
     assert S4.length[S4.longest()] == 6
     assert B3.length[B3.longest()] == 9
     assert get_system("I2(7)").length[get_system("I2(7)").longest()] == 7
+
+
+def test_longest_of_the_trivial_group_is_the_identity():
+    assert symmetric_group_system(1).longest() == 0
 
 
 # Element indices reach the report bytes (coset and double coset listings are

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -26,8 +25,6 @@ from hecke_kit.repmod import (
     induce,
     iso_test,
     iso_test_detail,
-    module_from_json_obj,
-    module_to_json_obj,
     outer_tensor,
     product_factor,
     random_conjugate,
@@ -316,7 +313,6 @@ def test_direct_sum_blocks():
 def test_regular_module_s3():
     M = regular(S3, {0, 1}, P10)
     assert M.dim == 6 and M.is_valid()
-    assert M.labels[0] == "e"
 
 
 def test_scalar_roots_frozen():
@@ -449,46 +445,6 @@ def test_iso_zero_dimensional_modules():
     assert z2.dim == 0 and z2.is_valid()
     found = iso_test(z1, z2)
     assert found is not None
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def test_module_json_round_trip():
-    M = induce(companion(S4, {0, 1}, P23), {0, 1, 2})
-    obj = module_to_json_obj(M)
-    text = json.dumps(obj, sort_keys=True)
-    back = module_from_json_obj(json.loads(text))
-    assert back.dim == M.dim and back.subset == M.subset and back.params == M.params
-    assert back.gen_action == M.gen_action
-
-
-def test_module_json_frozen_shape():
-    M = regular(S2, {0}, P10)
-    M2 = HeckeModule(get_system("A3"), {0, 1}, P10, 2,
-                     {0: M.gen_action[0], 1: M.gen_action[0]})
-    obj = module_to_json_obj(M2)
-    assert obj == {
-        "group": "A3",
-        "subset": [1, 2],
-        "params": {"a": "1", "b": "0"},
-        "dim": 2,
-        "gens": {"1": [["0", "0"], ["1", "1"]], "2": [["0", "0"], ["1", "1"]]},
-    }
-    assert module_from_json_obj(obj).is_valid()
-
-
-def test_json_custom_matrix_group():
-    # group tag may be a name or an explicit matrix object; both must parse
-    sys_custom = get_system({"n": 2, "m": [[1, 5], [5, 1]]})
-    M = companion(sys_custom, {0, 1}, P10)
-    back = module_from_json_obj(module_to_json_obj(M))
-    assert back.system.matrix == sys_custom.matrix
-    assert back.gen_action == M.gen_action
-    obj = module_to_json_obj(M)
-    obj["group"] = {"n": 2, "m": [[1, 5], [5, 1]]}
-    again = module_from_json_obj(obj)
-    assert again.system.matrix == sys_custom.matrix and again.gen_action == M.gen_action
 
 
 def test_embed_guard():

@@ -9,7 +9,8 @@ import pytest
 from hecke_kit.coxeter import get_system, one_line, symmetric_group_system
 from hecke_kit.hecke import chi, omega, phi, theta
 from hecke_kit.linalg import RatMat
-from hecke_kit.repmod import iso_test, random_conjugate, regular, scalar
+from hecke_kit import repmod, twists
+from hecke_kit.repmod import induce, iso_test, random_conjugate, regular, scalar
 from hecke_kit.scalars import DEFAULT_PARAM_BATTERY, ParamSpec
 from hecke_kit.twists import (
     build_pairing,
@@ -109,11 +110,11 @@ def test_transport_flip_smallest_case_frozen():
     # one coset line per group element; the image of the nontrivial line is
     # a*identity minus the generator action, giving an upper triangular map
     K = scalar(S2, frozenset(), 1, P10)
-    fm = transport_induction_twist(theta(S2), K)
+    fm = transport_induction_twist(theta(S2), induce(K, S2.full_subset))
     assert fm.matrix == RatMat.from_rows([[1, 1], [0, -1]])
     assert fm.check() and fm.matrix.is_invertible()
     K23 = scalar(S2, frozenset(), 1, P23)
-    fm23 = transport_induction_twist(theta(S2), K23)
+    fm23 = transport_induction_twist(theta(S2), induce(K23, S2.full_subset))
     assert fm23.matrix == RatMat.from_rows([[1, 2], [0, -1]])
     assert fm23.check()
 
@@ -127,7 +128,7 @@ def test_transport_flip_smallest_case_frozen():
 def test_transport_any_system(name, subset, builder):
     sys = get_system(name)
     K = regular(sys, subset, P23)
-    fm = transport_induction_twist(builder(sys), K)
+    fm = transport_induction_twist(builder(sys), induce(K, sys.full_subset))
     assert fm.source.dim == sys.size // len(sys.parabolic_elements(subset)) * K.dim
     assert fm.check()
     assert fm.matrix.is_invertible()
@@ -138,7 +139,7 @@ def test_transport_relabels_the_parabolic():
     # so inducing from {0} on the twisted side uses the subset {1}
     sys = get_system("I2(5)")
     K = regular(sys, {0}, P10)
-    fm = transport_induction_twist(phi(sys), K)
+    fm = transport_induction_twist(phi(sys), induce(K, sys.full_subset))
     assert fm.source.subset == sys.full_subset
     assert fm.source.induced.source.subset == frozenset({1})
     assert fm.target.subset == sys.full_subset
@@ -147,7 +148,16 @@ def test_transport_relabels_the_parabolic():
 def test_transport_rejects_anti_morphisms():
     K = regular(S2, {0}, P10)
     with pytest.raises(ValueError):
-        transport_induction_twist(chi(S2), K)
+        transport_induction_twist(chi(S2), induce(K, S2.full_subset))
+
+
+def test_transport_rejects_a_module_that_is_not_induced():
+    with pytest.raises(ValueError, match="induced to the full algebra"):
+        transport_induction_twist(theta(S2), regular(S2, S2.full_subset, P10))
+    # induced, but not to the full algebra
+    part = induce(scalar(S3, frozenset(), 1, P10), {0})
+    with pytest.raises(ValueError, match="induced to the full algebra"):
+        transport_induction_twist(theta(S3), part)
 
 
 # -- product and restriction compatibility ------------------------------------
@@ -192,6 +202,36 @@ def test_thm44_reversed_product_shape():
     big = fm.source.system
     assert fm.source.induced.source.subset == big.full_subset - {0}
     assert fm.target.subset == big.full_subset
+
+
+def count_induce_calls(monkeypatch):
+    """Count induce calls through every name the twist checks call it by."""
+    calls = []
+    real = repmod.induce
+
+    def counted(M, J):
+        calls.append(M.dim)
+        return real(M, J)
+
+    monkeypatch.setattr(repmod, "induce", counted)
+    monkeypatch.setattr(twists, "induce", counted)
+    return calls
+
+
+def test_thm44_builds_the_product_once(monkeypatch):
+    # M (x) N once, then per product part one induction of the twisted
+    # source and one product of the twisted factors
+    calls = count_induce_calls(monkeypatch)
+    rep = verify_thm44(full_regular(S2, P23), trivial(P23))
+    assert not failing(rep)
+    assert len(calls) <= 7
+
+
+def test_thm48_builds_each_product_once(monkeypatch):
+    calls = count_induce_calls(monkeypatch)
+    rep = verify_thm48(full_regular(S2, P23), trivial(P23))
+    assert not failing(rep)
+    assert len(calls) <= 13
 
 
 def test_thm44_custom_restriction_module():
