@@ -202,7 +202,7 @@ def _check_algebra(args) -> VerificationReport:
 def _emit(rep: VerificationReport, args) -> int:
     out = rep.render_text() if args.format == "text" else rep.to_json()
     _sys.stdout.write(out)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(rep.to_json())
     return 0 if rep.passed else 1
 
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default="report.json")
+    p.add_argument("--out", default=None, help="also write the JSON report here")
     return parser
 
 
@@ -303,16 +303,11 @@ def main(argv=None) -> int:
             else:
                 rep = _check_algebra(args)
             return _emit(rep, args)
-        # suite
-        rep = run_suite(seed=args.seed)
-        Path(args.out).write_text(rep.to_json())
-        out = rep.render_text() if args.format == "text" else rep.to_json()
-        _sys.stdout.write(out)
-        return 0 if rep.passed else 1
+        return _emit(run_suite(seed=args.seed), args)
     except GroupTooLarge as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:

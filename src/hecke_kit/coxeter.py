@@ -369,9 +369,6 @@ class CoxeterSystem:
     def desc_right(self, w: int) -> frozenset:
         return self.full_subset - self._asc_right[w]
 
-    def ascent_sets(self, w: int) -> tuple[frozenset, frozenset]:
-        return self._asc_left[w], self._asc_right[w]
-
     def reduced_word(self, w: int) -> tuple[int, ...]:
         """Greedy reduced word, stripping the smallest left descent first.
 
@@ -413,18 +410,6 @@ class CoxeterSystem:
         """Render as a reduced word, e.g. "s1*s2*s1"; the identity is "e"."""
         word = self.reduced_word(w)
         return "*".join(f"s{s + 1}" for s in word) if word else "e"
-
-    def parse_elem(self, text: str) -> int:
-        text = text.strip()
-        if text == "e":
-            return 0
-        word = []
-        for part in text.split("*"):
-            m = re.fullmatch(r"s(\d+)", part.strip())
-            if not m or not (1 <= int(m.group(1)) <= self.rank):
-                raise ValueError(f"bad element {text!r}")
-            word.append(int(m.group(1)) - 1)
-        return self.word_to_elem(word)
 
     # -- parabolic machinery ------------------------------------------------
 

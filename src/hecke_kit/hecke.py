@@ -316,6 +316,14 @@ class MorphismSpec:
     def __call__(self, x: HeckeElement) -> HeckeElement:
         return apply_morphism(self, x)
 
+    def restricted(self, domain, codomain) -> "MorphismSpec":
+        """The same morphism on the generators of domain, its images read in
+        the parabolic subalgebra of codomain."""
+        return MorphismSpec(self.system, self.kind,
+                            {j: self.images[j] for j in domain},
+                            name=f"{self.name}-restricted",
+                            domain=domain, codomain=codomain)
+
     def __repr__(self):
         return f"<{self.kind} morphism {self.name!r} on {sorted(self.domain)}>"
 

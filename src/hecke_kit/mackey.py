@@ -125,13 +125,14 @@ def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
     big_info = inst.big.induced
 
     fwd = RatMat.zeros(dim, dim)
-    for col, (w, k) in enumerate(big_info.pairs):
+    for wpos, w in enumerate(big_info.transversal):
         u, tau, v = sys.triple_factorize(w, inst.J, inst.I)
         if v != 0:
             raise RuntimeError("induced basis element is not coset-minimal")
         block = inst.blocks[rep_pos[tau]]
-        row = block.offset + block.module.induced.pos[u] * d + k
-        fwd.cols[col][row] = 1
+        row = block.offset + block.module.induced.pos[u] * d
+        for k in range(d):
+            fwd.cols[wpos * d + k][row + k] = 1
 
     bwd = RatMat.zeros(dim, dim)
     for block in inst.blocks:

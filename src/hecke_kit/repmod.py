@@ -11,12 +11,17 @@ it into the source module, or splits by the quadratic rule.
 Induced modules and direct sums remember how they were built; the hom-space
 solver uses that to replace one big intertwiner system by smaller ones (a
 found map is always re-verified directly, so the shortcut is not trusted).
+An induced module keeps its transversal tree, each coset representative
+linked to a shorter one by a generator, and `lift_induced` is the one walk
+up that tree: every map built on an induced basis (hom lifts, twist
+transports, the alternate-basis change) fixes the identity-coset block and
+multiplies its way up the tree.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -40,6 +45,7 @@ __all__ = [
     "act_elem",
     "restrict",
     "induce",
+    "lift_induced",
     "outer_tensor",
     "embed",
     "product_factor",
@@ -80,17 +86,13 @@ class InvalidScalar(ValueError):
 
 @dataclass
 class InducedInfo:
-    """How an induced module was assembled from its source."""
+    """How an induced module was assembled from its source: the transversal
+    tree.  Basis line (gamma, k) is column pos[gamma] * source.dim + k."""
 
     source: "HeckeModule"
     transversal: list[int]                    # minimal coset reps, (length, index) order
-    pairs: list[tuple[int, int]]              # basis lines (gamma, source index)
     parent: dict[int, tuple[int, int]]        # gamma -> (shorter rep, letter), gamma != e
-    pos: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.pos:
-            self.pos = {g: i for i, g in enumerate(self.transversal)}
+    pos: dict[int, int]                       # gamma -> its index in transversal
 
 
 class HeckeModule:
@@ -217,7 +219,7 @@ def induce(M: HeckeModule, J) -> HeckeModule:
     Basis lines are (gamma, k), gamma running over the transversal in
     (length, index) order, block-major.  The result records the transversal
     tree (each gamma's unique shorter neighbour under its smallest left
-    descent), which later map-building recursions reuse.
+    descent), which `lift_induced` walks.
     """
     sys = M.system
     J = sys.check_subset(J)
@@ -262,14 +264,32 @@ def induce(M: HeckeModule, J) -> HeckeModule:
                     if b0:
                         col[tpos * d + k] = b0
         gen_action[j] = mat
-    info = InducedInfo(
-        source=M,
-        transversal=transversal,
-        pairs=[(g, k) for g in transversal for k in range(d)],
-        parent=parent,
-        pos=pos,
-    )
+    info = InducedInfo(source=M, transversal=transversal, parent=parent, pos=pos)
     return HeckeModule(sys, J, M.params, dim, gen_action, induced=info)
+
+
+def lift_induced(info: InducedInfo, act: dict[int, RatMat], top: RatMat) -> RatMat:
+    """The matrix on an induced basis that walks the transversal tree.
+
+    The block of the lines of gamma is act[j] @ block(parent), where gamma's
+    tree edge is (parent, j), and the identity's block is top.  With act a
+    module's generator matrices, this is the map pi_gamma (x) k ->
+    pi_gamma * top(k) out of the induced module.  The transversal lists each
+    parent before its children, so one pass in that order fills every block.
+    """
+    d = top.ncols
+    out = RatMat.zeros(top.nrows, len(info.transversal) * d)
+    blocks: dict[int, RatMat] = {}
+    for t, g in enumerate(info.transversal):
+        if g == 0:
+            block = top
+        else:
+            p, j = info.parent[g]
+            block = act[j] @ blocks[p]
+        blocks[g] = block
+        for k in range(d):
+            out.cols[t * d + k] = dict(block.cols[k])
+    return out
 
 
 def outer_tensor(M: HeckeModule, N: HeckeModule) -> HeckeModule:
@@ -512,24 +532,9 @@ def _hom_generic(M: HeckeModule, N: HeckeModule) -> list[RatMat]:
 
 def _hom_from_induced(M: HeckeModule, N: HeckeModule) -> list[RatMat]:
     """Lift maps from the induction source: F(pi_gamma (x) m) = pi_gamma * F0(m)."""
-    info = M.induced
-    src = info.source
-    inner = hom_space(src, restrict(N, src.subset))
-    d = src.dim
-    out = []
-    for F0 in inner:
-        blocks = {info.transversal[0]: F0}
-        for g in info.transversal[1:]:
-            p, j = info.parent[g]
-            blocks[g] = N.gen_action[j] @ blocks[p]
-        F = RatMat.zeros(N.dim, M.dim)
-        for g in info.transversal:
-            base = info.pos[g] * d
-            blk = blocks[g]
-            for k in range(d):
-                F.cols[base + k] = dict(blk.cols[k])
-        out.append(F)
-    return out
+    src = M.induced.source
+    return [lift_induced(M.induced, N.gen_action, F0)
+            for F0 in hom_space(src, restrict(N, src.subset))]
 
 
 def _hom_from_sum(M: HeckeModule, N: HeckeModule) -> list[RatMat]:

@@ -15,7 +15,6 @@ __all__ = [
     "BiPoly",
     "ParamSpec",
     "DEFAULT_PARAM_BATTERY",
-    "random_param",
     "y_seq",
 ]
 
@@ -307,16 +306,6 @@ DEFAULT_PARAM_BATTERY: tuple[ParamSpec, ...] = (
     ParamSpec(Fraction(2), Fraction(3)),
     ParamSpec(Fraction(-1), Fraction(1)),
 )
-
-
-def random_param(seed: int) -> ParamSpec:
-    """A pseudo-random small rational point, deterministic in the seed."""
-    import random
-
-    rng = random.Random(("param", seed).__repr__())
-    a0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    b0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    return ParamSpec(a0, b0)
 
 
 def y_seq(n: int) -> list[BiPoly]:

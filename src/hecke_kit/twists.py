@@ -3,11 +3,15 @@
 Two families of statements are verified here. For the algebra automorphisms
 (generator relabelling through the longest element, the affine flip
 pi -> a - pi, and their composite) an induced module is carried onto its
-twist by an explicit transport map from the induction of the twisted source:
-it applies the automorphism to the transversal part of each basis line and
-re-expands the image in the plain induced basis. The transport takes the
-induced module itself, so each check builds the product M (x) N once and
-hands it to every part. For the anti-automorphisms the link is a bilinear
+twist by the map x tensor k -> alpha(x) tensor k: it applies the
+automorphism to the transversal part of each basis line and re-expands the
+image in the plain induced basis, one `repmod.lift_induced` walk up the
+transversal tree. `transport_induction_twist` does this from the induction
+of the twisted source. The product maps do not go through it: they lift
+straight from the product of the twisted factors, putting the factor swap
+on the identity-coset lines where a statement reverses the factors, so each
+check builds M (x) N once and each twisted product once. For the
+anti-automorphisms the link is a bilinear
 pairing between the product module and the product of the dual twists,
 presented on the alternate (shifted) induced basis; the pairing is a
 permutation of dual lines, and its equivariance is checked both as a global
@@ -38,10 +42,10 @@ from .linalg import RatMat, _q
 from .repmod import (
     HeckeModule,
     ModuleMap,
-    act_elem,
     boxtimes,
     induce,
     iso_test,
+    lift_induced,
     restrict,
     twist_along,
 )
@@ -92,9 +96,7 @@ def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap
     big.induced, and the map runs from the induction of K's twist (along the
     automorphism restricted to the parabolic it relabels) onto the twist of
     big.  Works for any finite Coxeter system and any automorphism whose
-    generator images are affine in a single generator.  The image of a
-    transversal line is computed up the transversal tree: each extra letter
-    multiplies by the image of that generator inside big, and the result is
+    generator images are affine in a single generator.  The map is
     invertible because images lead with a term of full length.
     """
     if spec.kind != "auto":
@@ -105,36 +107,20 @@ def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap
         raise ValueError("transport needs a module induced to the full algebra")
     K = big.induced.source
     sigma = {j: _image_gen_index(spec, j) for j in S}
-    I = K.subset
-    Istar = frozenset(j for j in S if sigma[j] in I)
-    rspec = MorphismSpec(
-        sys, "auto", {j: spec.images[j] for j in Istar},
-        name=f"{spec.name}-restricted", domain=Istar, codomain=I,
-    )
-    lhs = twist_along(spec, big)
-    twisted = twist_along(rspec, K)
-    rhs = induce(twisted, S)
+    Istar = frozenset(j for j in S if sigma[j] in K.subset)
+    rhs = induce(twist_along(spec.restricted(Istar, K.subset), K), S)
+    return _lift_twist(spec, big, rhs, RatMat.identity(K.dim))
 
-    d = K.dim
-    X = RatMat.zeros(big.dim, big.dim)
-    letter_act: dict[int, RatMat] = {}
-    blocks: dict[int, RatMat] = {}
-    for gamma in rhs.induced.transversal:
-        if gamma == 0:
-            block = RatMat.zeros(big.dim, d)
-            for c in range(d):
-                block.cols[c][c] = 1
-        else:
-            parent, letter = rhs.induced.parent[gamma]
-            mat = letter_act.get(letter)
-            if mat is None:
-                mat = letter_act[letter] = act_elem(big, spec.images[letter])
-            block = mat @ blocks[parent]
-        blocks[gamma] = block
-        base = rhs.induced.pos[gamma] * d
-        for c in range(d):
-            X.cols[base + c] = dict(block.cols[c])
-    return ModuleMap(rhs, lhs, X, S)
+
+def _lift_twist(spec: MorphismSpec, big: HeckeModule, source: HeckeModule,
+                top: RatMat) -> ModuleMap:
+    """The map x tensor k -> alpha(x) tensor top(k) from source, induced over
+    the same transversal as big, onto the twist of big along alpha; top is
+    square and lands on big's identity-coset lines."""
+    target = twist_along(spec, big)
+    top = RatMat(big.dim, top.ncols, top.cols)
+    X = lift_induced(source.induced, target.gen_action, top)
+    return ModuleMap(source, target, X, big.subset)
 
 
 # -- automorphism twists of the product -------------------------------------
@@ -145,20 +131,17 @@ def _twist_full(builder, V: HeckeModule) -> HeckeModule:
 
 
 def _product_twist_map(builder, bt: HeckeModule, M: HeckeModule, N: HeckeModule,
-                       reverse: bool) -> ModuleMap:
-    """Transport of the induced product bt = M (x) N along builder's
-    automorphism, with the product of the twisted factors as its source; with
-    reverse the factors come in swapped order and the map is precomposed with
-    the factor swap."""
-    big = bt.system
-    base = transport_induction_twist(builder(big), bt)
-    tM, tN = _twist_full(builder, M), _twist_full(builder, N)
-    if not reverse:
-        return ModuleMap(boxtimes(tM, tN), base.target, base.matrix, big.full_subset)
-    source = boxtimes(tN, tM)
-    sw = kron_swap(N.dim, M.dim)
-    swfull = RatMat.block_diag([sw] * len(source.induced.transversal))
-    return ModuleMap(source, base.target, base.matrix @ swfull, big.full_subset)
+                       reverse: bool, source: HeckeModule | None = None) -> ModuleMap:
+    """The map x tensor k -> alpha(x) tensor k from the product of the
+    builder-twisted factors onto the twist of bt = M (x) N along builder's
+    automorphism alpha.  With reverse the twisted factors come in swapped
+    order and k goes through the factor swap first.  source is that product,
+    built here unless the caller already holds it."""
+    if source is None:
+        tM, tN = _twist_full(builder, M), _twist_full(builder, N)
+        source = boxtimes(tN, tM) if reverse else boxtimes(tM, tN)
+    top = kron_swap(N.dim, M.dim) if reverse else RatMat.identity(M.dim * N.dim)
+    return _lift_twist(builder(bt.system), bt, source, top)
 
 
 def thm44_part1_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
@@ -189,11 +172,7 @@ def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
     sub_nm = sys.full_subset - {n - 1}
     inner = sub_nm if flip else sub_mn
     spec = builder(sys)
-    rspec = MorphismSpec(
-        sys, spec.kind, {j: spec.images[j] for j in sub_mn},
-        name=f"{spec.name}-restricted", domain=sub_mn, codomain=inner,
-    )
-    lhs = twist_along(rspec, restrict(L, inner))
+    lhs = twist_along(spec.restricted(sub_mn, inner), restrict(L, inner))
     rhs = restrict(twist_along(spec, L), sub_mn)
     return lhs, rhs
 
@@ -359,23 +338,11 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
                         mat.cols[base + c][other + c] = b0
         alt_action[i0] = mat
 
-    # alternate basis expanded in the standard one, up the transversal tree
-    change = RatMat.zeros(dim, dim)
-    order = sorted(info.transversal, key=lambda g: big.length[g])
-    cols: dict[int, list] = {}
-    for g in order:
-        base = info.pos[g] * d
-        if g == 0:
-            blockmat = RatMat.zeros(dim, d)
-            for c in range(d):
-                blockmat.cols[c][c] = 1
-        else:
-            parent, letter = info.parent[g]
-            prev = cols[parent]
-            blockmat = (bt_h.gen_action[letter] @ prev) - prev.scale(a0)
-        cols[g] = blockmat
-        for c in range(d):
-            change.cols[base + c] = dict(blockmat.cols[c])
+    # alternate basis expanded in the standard one: the shifted generators
+    # pi_j - a walked up the transversal tree
+    shift = RatMat.identity(dim).scale(a0)
+    shifted = {j: bt_h.gen_action[j] - shift for j in bt_h.subset}
+    change = lift_induced(info, shifted, RatMat(dim, d, RatMat.identity(d).cols))
 
     gp = gamma_prime(big, m, n)
     P = RatMat.zeros(dim, dim)
@@ -562,19 +529,19 @@ def verify_thm48(M: HeckeModule, N: HeckeModule, cross_check="auto",
     Nc = _twist_full(chi, N)
     Mc = _twist_full(chi, M)
     bt_c = boxtimes(Nc, Mc)
-    h1 = _product_twist_map(phi, bt, M, N, reverse=True)
-    X1p = thm48_part1_map(_twist_full(phi, N), _twist_full(phi, M))
+    data1p = build_pairing(_twist_full(phi, N), _twist_full(phi, M))
+    h1 = _product_twist_map(phi, bt, M, N, reverse=True, source=data1p.lhs)
     X2 = ModuleMap(bt_c, _twist_full(chi, bt),
-                   h1.inverse().matrix.transpose() @ X1p.matrix, S)
+                   h1.inverse().matrix.transpose() @ _part1_from(data1p).matrix, S)
     add_map("part 2 (dual of a product)", X2)
 
-    h2p = _product_twist_map(theta, bt_c, Nc, Mc, reverse=False)
     src3 = boxtimes(_twist_full(theta_hat, N), _twist_full(theta_hat, M))
+    h2p = _product_twist_map(theta, bt_c, Nc, Mc, reverse=False, source=src3)
     X3 = ModuleMap(src3, _twist_full(theta_hat, bt), X2.matrix @ h2p.matrix, S)
     add_map("part 3 (dual-flip of a product)", X3)
 
-    h3p = _product_twist_map(omega, bt_c, Nc, Mc, reverse=True)
     src4 = boxtimes(_twist_full(omega_hat, M), _twist_full(omega_hat, N))
+    h3p = _product_twist_map(omega, bt_c, Nc, Mc, reverse=True, source=src4)
     X4 = ModuleMap(src4, _twist_full(omega_hat, bt), X2.matrix @ h3p.matrix, S)
     add_map("part 4 (dual-composite of a product)", X4)
     return rep

@@ -7,6 +7,7 @@ import pytest
 
 from hecke_kit import cli
 from hecke_kit.coxeter import get_system, symmetric_group_system
+from hecke_kit.report import VerificationReport
 from hecke_kit.scalars import ParamSpec
 
 
@@ -237,6 +238,20 @@ def test_zero_denominator_is_an_input_error(capsys, extra):
     assert "Traceback" not in err
 
 
+def test_suite_writes_a_file_only_with_out(capsys, monkeypatch, tmp_path):
+    rep = VerificationReport(title="stub suite")
+    rep.add("stub check", True)
+    monkeypatch.setattr(cli, "run_suite", lambda seed: rep)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "suite", "--format", "json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, "suite", "--format", "json", "--out", "rep.json")
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+    assert (tmp_path / "rep.json").read_text() == out
+
+
 def test_out_report_matches_stdout_json(capsys, tmp_path):
     path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "check", "algebra", "--group", "A2",
@@ -246,7 +261,8 @@ def test_out_report_matches_stdout_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("all probe primes divided a denominator"),
-                                 TypeError("unsupported operand type(s)")])
+                                 TypeError("unsupported operand type(s)"),
+                                 KeyError(5)])
 def test_internal_fault_exits_3_not_1(capsys, monkeypatch, exc):
     # 1 means "a check failed", so a fault inside a check must not map to it
     def boom(*args, **kwargs):

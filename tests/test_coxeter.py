@@ -286,15 +286,6 @@ def test_reduced_word_greedy():
             assert sys.word_to_elem(word) == w
 
 
-def test_parse_elem_round_trip():
-    for w in range(S4.size):
-        assert S4.parse_elem(S4.elem_name(w)) == w
-    with pytest.raises(ValueError):
-        S4.parse_elem("s9")
-    with pytest.raises(ValueError):
-        S4.parse_elem("x1*s2")
-
-
 def test_matsumoto_random_words():
     rng = random.Random(17)
     for sys in (S4, B3):
@@ -304,13 +295,6 @@ def test_matsumoto_random_words():
                 word = random_reduced_word(sys, w, rng)
                 assert len(word) == sys.length[w]
                 assert sys.word_to_elem(word) == w
-
-
-def test_ascent_sets_example():
-    w = S4.gens[2]  # s3
-    asc_l, asc_r = S4.ascent_sets(w)
-    assert {0, 1} <= asc_l and {0, 1} <= asc_r
-    assert 2 not in asc_l
 
 
 # -- coset machinery --------------------------------------------------------

@@ -25,6 +25,7 @@ from hecke_kit.repmod import (
     induce,
     iso_test,
     iso_test_detail,
+    lift_induced,
     outer_tensor,
     product_factor,
     random_conjugate,
@@ -123,7 +124,7 @@ def test_induce_dimension_law_exhaustive_s4():
             index = len(S4.parabolic_elements(J)) // len(S4.parabolic_elements(I))
             assert big.dim == index * M.dim
             assert big.is_valid()
-            assert len(big.induced.pairs) == big.dim
+            assert len(big.induced.transversal) == index
 
 
 def test_induce_equal_subsets_is_identity_on_matrices():
@@ -140,7 +141,7 @@ def test_induce_smallest_example_frozen():
         up = induce(triv, {0})
         a0, b0 = params.a0, params.b0
         assert up.gen_action[0].to_rows() == [[F(0), b0], [F(1), a0]]
-        assert up.induced.pairs == [(0, 0), (S2.gens[0], 0)]
+        assert up.induced.transversal == [0, S2.gens[0]]
 
 
 def test_induced_transversal_tree():
@@ -151,6 +152,16 @@ def test_induced_transversal_tree():
     for g, (p, j) in info.parent.items():
         assert S4.left_table[p][j] == g
         assert S4.length[p] + 1 == S4.length[g]
+
+
+def test_lift_of_the_inclusion_is_the_identity():
+    # walking an induced module's own action up its transversal tree from the
+    # identity-coset lines reproduces its basis: pi_gamma (x) k
+    for M, J in ((companion(S4, {0, 1}, P10), {0, 1, 2}),
+                 (regular(S3, {1}, P23), {0, 1})):
+        up = induce(M, J)
+        top = RatMat(up.dim, M.dim, RatMat.identity(M.dim).cols)
+        assert lift_induced(up.induced, up.gen_action, top) == RatMat.identity(up.dim)
 
 
 # -- tensor products -------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_kit.scalars import A, B, BiPoly, ParamSpec, random_param, y_seq
+from hecke_kit.scalars import A, B, BiPoly, ParamSpec, y_seq
 
 
 def rand_poly(rng, nterms=4, deg=3, cmax=6):
@@ -122,11 +122,6 @@ def test_param_parse():
     assert str(q) == "-1/2,3/4"
     with pytest.raises(ValueError):
         ParamSpec.parse("1")
-
-
-def test_random_param_deterministic():
-    assert random_param(42) == random_param(42)
-    assert random_param(42) != random_param(43)
 
 
 def test_y_seq_frozen_values():

@@ -1,6 +1,7 @@
 """Twist compatibility: transport of induced modules along automorphisms,
 the dual-line involution, and the pairing with the product of dual twists."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -219,19 +220,20 @@ def count_induce_calls(monkeypatch):
 
 
 def test_thm44_builds_the_product_once(monkeypatch):
-    # M (x) N once, then per product part one induction of the twisted
-    # source and one product of the twisted factors
+    # M (x) N once, then per product part one product of the twisted factors
     calls = count_induce_calls(monkeypatch)
     rep = verify_thm44(full_regular(S2, P23), trivial(P23))
     assert not failing(rep)
-    assert len(calls) <= 7
+    assert len(calls) <= 4
 
 
 def test_thm48_builds_each_product_once(monkeypatch):
+    # two products for each of the two pairings, the chi-twisted product and
+    # the sources of parts 3 and 4
     calls = count_induce_calls(monkeypatch)
     rep = verify_thm48(full_regular(S2, P23), trivial(P23))
     assert not failing(rep)
-    assert len(calls) <= 13
+    assert len(calls) <= 7
 
 
 def test_thm44_custom_restriction_module():
@@ -369,3 +371,54 @@ def test_transport_agrees_with_independent_search():
     assert fm.check()
     found = iso_test(fm.source, fm.target, seed=3)
     assert found is not None
+
+
+# -- every checked map, pinned ------------------------------------------------
+
+PIN_CASES = [
+    (1, 1, "one", "one", "2,3"),
+    (1, 1, "one", "one", "0,0"),
+    (2, 1, "regular", "one", "1/2,3/16"),
+    (2, 1, "regular", "one", "-1,1"),
+    (1, 2, "one", "regular", "-1,1"),
+    (2, 2, "regular", "one", "1,0"),
+    (2, 2, "one", "one", "-1,1"),
+    (3, 1, "one", "regular", "0,0"),
+    (3, 2, "one", "one", "2,3"),
+    (3, 2, "one", "regular", "1/2,3/16"),
+]
+CHECKED_MAPS_SHA256 = "2ef6a48cb7863510985e66e7ad1fefe0cc91fdbbc79deca806b3ef0f06129353"
+
+
+def _canon(mat):
+    return f"{mat.nrows}x{mat.ncols}:" + ";".join(
+        f"{c},{r},{v}" for c, col in enumerate(mat.cols) for r, v in sorted(col.items()))
+
+
+def _pin_factor(kind, k, params):
+    sys = symmetric_group_system(k)
+    if kind == "regular":
+        return full_regular(sys, params)
+    return repmod.one_dim_factor(sys, sys.full_subset, params)
+
+
+def test_checked_maps_are_pinned(monkeypatch):
+    # every map whose residual the twist checks compute, with its source
+    # action, in call order; a refactor of the map builders must keep them
+    seen = []
+    real = repmod.ModuleMap.residual
+
+    def recorded(fmap):
+        seen.append("|".join([_canon(fmap.matrix)] + [
+            f"s{j}=" + _canon(fmap.source.gen_action[j])
+            for j in sorted(fmap.source.subset)]))
+        return real(fmap)
+
+    monkeypatch.setattr(repmod.ModuleMap, "residual", recorded)
+    for m, n, kind_m, kind_n, ptxt in PIN_CASES:
+        params = ParamSpec.parse(ptxt)
+        M, N = _pin_factor(kind_m, m, params), _pin_factor(kind_n, n, params)
+        for verify in (verify_thm44, verify_thm48):
+            assert not failing(verify(M, N))
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert (len(seen), digest) == (170, CHECKED_MAPS_SHA256)
