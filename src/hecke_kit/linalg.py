@@ -6,6 +6,12 @@ true rational entry, normalised by `_q`: a plain int when it is integral and
 a Fraction only when its denominator is not 1, never zero and never a float.
 At integer parameter points every module matrix is integral, so its
 arithmetic stays in int operations, which are far cheaper than Fraction ones.
+At a rational point the exact identity checks clear denominators at check
+time instead: `RatMat.cleared` scales a matrix by the lcm of its entry
+denominators, the check multiplies its identity through by the positive
+integer that clears it, and every product runs on integers.  Storage keeps
+the true values, because `cols` is also the matrix as callers read it, and
+every other routine (kernels, inverses, hom bases) works on true values.
 Invertibility is certified by a nonzero determinant modulo a large prime
 after clearing denominators, which is a sound (one-sided) proof of
 invertibility over Q.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["RatMat", "kernel_basis", "intertwiner_rows"]
 
@@ -86,13 +92,6 @@ class RatMat:
                 if v:
                     m.cols[c][r] = v
         return m
-
-    @classmethod
-    def permutation(cls, row_of_col):
-        """Square 0/1 matrix with a single 1 at (row_of_col[j], j)."""
-        n = len(row_of_col)
-        assert sorted(row_of_col) == list(range(n))
-        return cls(n, n, [{r: 1} for r in row_of_col])
 
     @classmethod
     def block_diag(cls, blocks):
@@ -219,6 +218,24 @@ class RatMat:
             if w.__class__ is not int:
                 acc[r] = _q(w)
         return acc
+
+    def cleared(self) -> tuple["RatMat", int]:
+        """(N, d): d is the lcm of the entry denominators and N = d * self.
+
+        N is integral.  Its entries are numerator * (d // denominator), so no
+        Fraction is multiplied.  An integral matrix returns (self, 1) itself,
+        not a copy.
+        """
+        d = 1
+        for col in self.cols:
+            for v in col.values():
+                if v.__class__ is not int:
+                    d = lcm(d, v.denominator)
+        if d == 1:
+            return self, 1
+        return RatMat(self.nrows, self.ncols,
+                      [{r: v.numerator * (d // v.denominator) for r, v in col.items()}
+                       for col in self.cols]), d
 
     def transpose(self) -> "RatMat":
         out = RatMat(self.ncols, self.nrows)

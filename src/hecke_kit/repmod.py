@@ -147,25 +147,79 @@ class HeckeModule:
         )
 
 
+def _column_sum(terms: list[tuple[int, RatMat]], j: int) -> dict[int, int]:
+    """Column j of the sum of c * P, zeros dropped; P integral.
+
+    A single term with c = 1 gives P's own column, not a copy.
+    """
+    if len(terms) == 1:
+        c, P = terms[0]
+        col = P.cols[j]
+        return col if c == 1 else {r: c * v for r, v in col.items()}
+    acc: dict[int, int] = {}
+    for c, P in terms:
+        for r, v in P.cols[j].items():
+            if w := acc.get(r, 0) + c * v:
+                acc[r] = w
+            else:
+                del acc[r]
+    return acc
+
+
+def _cleared_gap(left, right, denom: int) -> int | Fraction:
+    """max |L - R| / denom, normalised like `_q`.
+
+    L and R are sums of c * P over integral matrices P, given as lists of
+    (c, P) with nonzero c, and left is not empty.  With L = R a relation
+    multiplied through by its clearing factor denom > 0, this is the largest
+    entry of the relation itself.  Columns compare as dicts first, so a
+    column that holds costs no subtraction.
+    """
+    worst = 0
+    for j in range(left[0][1].ncols):
+        L, R = _column_sum(left, j), _column_sum(right, j)
+        if L != R:
+            worst = max(worst, max(abs(L.get(r, 0) - R.get(r, 0)) for r in L.keys() | R.keys()))
+    return worst if denom == 1 else _q(Fraction(worst, denom))
+
+
 def validate(M: HeckeModule) -> list[tuple[str, bool, int | Fraction]]:
-    """Check the defining relations; one (name, ok, residual) entry each."""
-    a0, b0 = M.params.a0, M.params.b0
+    """Check the defining relations; one (name, ok, residual) entry each.
+
+    Each relation runs in integer arithmetic: the generators are cleared
+    (A = N / d, see `RatMat.cleared`) and the relation is multiplied through
+    by the positive integer that clears it.  With a0 = pa/qa and b0 = pb/qb
+    the quadratic relation becomes qa*qb*N^2 - pa*qb*d*N - pb*qa*d^2*I.  A
+    braid word of odd length m has one more factor of A_i on the left than
+    on the right, so the two words are scaled by d_j and d_i; for even m
+    they compare directly.  The residual is the largest entry of the
+    cleared relation divided by its factor, which is exactly the largest
+    entry of the relation over Q.
+    """
+    pa, qa = M.params.a0.numerator, M.params.a0.denominator
+    pb, qb = M.params.b0.numerator, M.params.b0.denominator
     ident = RatMat.identity(M.dim)
-    out = []
     gens = sorted(M.subset)
+    cleared = {i: M.gen_action[i].cleared() for i in gens}
+    out = []
     for i in gens:
-        mat = M.gen_action[i]
-        resid = (mat @ mat - mat.scale(a0) - ident.scale(b0)).max_abs()
+        N, d = cleared[i]
+        linear = [(c, P) for c, P in ((pa * qb * d, N), (pb * qa * d * d, ident)) if c]
+        resid = _cleared_gap([(qa * qb, N @ N)], linear, qa * qb * d * d)
         out.append((f"quadratic s{i + 1}", resid == 0, resid))
     for x in range(len(gens)):
         for y in range(x + 1, len(gens)):
             i, j = gens[x], gens[y]
             m = M.system.matrix.orders[i][j]
-            left = right = ident
-            for t in range(m):
-                left = left @ (M.gen_action[i] if t % 2 == 0 else M.gen_action[j])
-                right = right @ (M.gen_action[j] if t % 2 == 0 else M.gen_action[i])
-            resid = (left - right).max_abs()
+            (Ni, di), (Nj, dj) = cleared[i], cleared[j]
+            left, right = Ni, Nj
+            for t in range(1, m):
+                left = left @ (Ni if t % 2 == 0 else Nj)
+                right = right @ (Nj if t % 2 == 0 else Ni)
+            if m % 2:
+                resid = _cleared_gap([(dj, left)], [(di, right)], (di * dj) ** ((m + 1) // 2))
+            else:
+                resid = _cleared_gap([(1, left)], [(1, right)], (di * dj) ** (m // 2))
             out.append((f"braid s{i + 1},s{j + 1} (m={m})", resid == 0, resid))
     return out
 
@@ -575,13 +629,24 @@ class ModuleMap:
     def check(self) -> bool:
         return self.residual() == 0
 
+    def residuals(self) -> dict[int, int | Fraction]:
+        """Largest entry of X @ A_i - B_i @ X for each generator i, exact.
+
+        X, A_i and B_i are cleared (X = Nx / dx and so on, see
+        `RatMat.cleared`), db * (Nx @ NA) - da * (NB @ Nx) is formed in
+        integers, and its largest entry is divided once by dx * da * db.
+        """
+        X, dx = self.matrix.cleared()
+        out = {}
+        for i in sorted(self.subset):
+            A, da = self.source.gen_action[i].cleared()
+            B, db = self.target.gen_action[i].cleared()
+            out[i] = _cleared_gap([(db, X @ A)], [(da, B @ X)], dx * da * db)
+        return out
+
     def residual(self) -> int | Fraction:
-        worst = Fraction(0)
-        for i in self.subset:
-            r = (self.matrix @ self.source.gen_action[i]
-                 - self.target.gen_action[i] @ self.matrix).max_abs()
-            worst = max(worst, r)
-        return worst
+        """The largest of `residuals`; 0 over the empty subset."""
+        return max(self.residuals().values(), default=0)
 
     def is_invertible(self) -> bool:
         return self.matrix.is_invertible()
@@ -612,7 +677,11 @@ def _search_invertible(basis: list[RatMat], seed: int) -> Optional[RatMat]:
 
 
 def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
-    """Isomorphism search report: map (or None), hom dimension, route."""
+    """Isomorphism search report: map (or None), hom dimension, route.
+
+    A returned map has passed `ModuleMap.check` here and is certified
+    invertible by the search, so callers need not check it again.
+    """
     if M.params != N.params:
         raise ParamMismatch(f"({M.params}) vs ({N.params})")
     if not M.same_algebra(N):

@@ -46,15 +46,6 @@ def test_set_entry_drops_zeros():
     assert m.nnz() == 0 and m.is_zero()
 
 
-def test_permutation_matrix_acts_on_basis_vectors():
-    # column j carries e_j to e_{row_of_col[j]}
-    p = RatMat.permutation([2, 0, 1])
-    for j, target in enumerate([2, 0, 1]):
-        assert p.matvec({j: F(1)}) == {target: F(1)}
-    with pytest.raises(AssertionError):
-        RatMat.permutation([0, 0, 1])
-
-
 def test_matmul_matches_dense_reference():
     rng = random.Random(20)
     for _ in range(40):

@@ -6,6 +6,7 @@ a float, never a Fraction equal to an integer.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -133,6 +134,17 @@ def test_scale(d, c):
     out = build(d).scale(c)
     assert_contract(out)
     assert as_fractions(out) == [[F(c) * v for v in row] for row in ref(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense())
+def test_cleared(d):
+    m = build(d)
+    N, den = m.cleared()
+    assert den == lcm(1, *(v.denominator for row in ref(d) for v in row))
+    assert all(v.__class__ is int for col in N.cols for v in col.values())
+    assert N == m.scale(den)
+    assert (N is m) == (den == 1)
 
 
 @settings(max_examples=100, deadline=None)
