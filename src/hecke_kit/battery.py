@@ -23,10 +23,11 @@ from .hecke import (
     theta,
     verify_algebra,
 )
-from .mackey import build_sides, verify, verify_tensor_decomposition
+from .mackey import build_sides, split_induced, verify, verify_tensor_decomposition
 from .repmod import (
     direct_sum,
     hom_space,
+    induce,
     iso_test_detail,
     one_dim_factor,
     random_conjugate,
@@ -119,13 +120,16 @@ def coset_scene() -> VerificationReport:
     return rep
 
 
-def conjugation_scene(word_cap: int = 3) -> VerificationReport:
+CONJUGATION_WORD_CAP = 3
+
+
+def conjugation_scene() -> VerificationReport:
     """Cross-section elements slide past minimal representatives, checked
     symbolically for every generator word up to the length cap."""
     sys = get_system("A3")
     rep = VerificationReport(
         title="conjugation past minimal representatives",
-        instance={"group": "A3", "subset pairs": "all", "word cap": word_cap},
+        instance={"group": "A3", "subset pairs": "all", "word cap": CONJUGATION_WORD_CAP},
     )
     subsets = _all_subsets(sys)
     ok = True
@@ -136,7 +140,7 @@ def conjugation_scene(word_cap: int = 3) -> VerificationReport:
             K = sorted(spec.domain)
             ptau = HeckeElement.basis_elt(sys, tau)
             layer = [HeckeElement.unit(sys)]
-            for _ in range(word_cap):
+            for _ in range(CONJUGATION_WORD_CAP):
                 layer = [x * HeckeElement.gen(sys, j) for x in layer for j in K]
                 for pk in layer:
                     words_checked += 1
@@ -148,15 +152,17 @@ def conjugation_scene(word_cap: int = 3) -> VerificationReport:
 
 
 MACKEY_GROUPS = ("A2", "A3", "B3", "I2(5)")
+MACKEY_FAMILIES = ("regular", "one-dimensional", "random conjugate")
 
 
 def mackey_scene(seed: int = 0) -> VerificationReport:
     """The decomposition battery: four groups, all subset pairs, three module
-    families, all parameter points."""
+    families, all parameter points.  Each family module is induced once per
+    subset I and decomposed along every J."""
     rep = VerificationReport(
         title="restricted induction decomposes over double cosets",
         instance={"groups": list(MACKEY_GROUPS), "subset pairs": "all",
-                  "modules": ["regular", "one-dimensional", "random conjugate"],
+                  "modules": list(MACKEY_FAMILIES),
                   "params": [str(p) for p in DEFAULT_PARAM_BATTERY]},
         seed=seed,
     )
@@ -164,17 +170,21 @@ def mackey_scene(seed: int = 0) -> VerificationReport:
         sys = get_system(name)
         subsets = _all_subsets(sys)
         for params in DEFAULT_PARAM_BATTERY:
+            induced = {}
+            for I in subsets:
+                reg = regular(sys, I, params)
+                mods = (reg, one_dim_factor(sys, I, params),
+                        random_conjugate(reg, seed=seed + 5))
+                induced[I] = [(label, M, induce(M, sys.full_subset))
+                              for label, M in zip(MACKEY_FAMILIES, mods)]
             bad = []
             count = 0
             for J, I in product(subsets, subsets):
-                mods = [regular(sys, I, params),
-                        one_dim_factor(sys, I, params),
-                        random_conjugate(regular(sys, I, params), seed=seed + 5)]
-                for M in mods:
+                for label, M, big in induced[I]:
                     count += 1
-                    r = verify(build_sides(sys, I, J, M))
+                    r = verify(split_induced(big, J))
                     if not r.passed:
-                        bad.append((sorted(I), sorted(J), M.dim))
+                        bad.append((sorted(I), sorted(J), label, M.dim))
             rep.add(f"{name} at ({params}): all subset pairs and modules", not bad,
                     detail={"instances": count, "failures": [str(b) for b in bad]} if bad
                     else {"instances": count})

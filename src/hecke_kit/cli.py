@@ -85,7 +85,7 @@ def _describe(args) -> VerificationReport | dict:
     if J is not None and I is None:
         raise ValueError("--J needs --I")
     if I is not None:
-        reps = system.min_coset_reps(I, side="left")
+        reps = system.min_coset_reps(I)
         obj["I"] = [i + 1 for i in sorted(I)]
         obj["parabolic_size"] = len(system.parabolic_elements(I))
         obj["min_coset_reps"] = [system.elem_name(w) for w in reps]

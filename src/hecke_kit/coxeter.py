@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 __all__ = [
     "GroupTooLarge",
@@ -30,7 +29,6 @@ __all__ = [
     "is_type_a",
     "one_line",
     "elem_of_line",
-    "type_a_transversal_lines",
     "interleaving_rep_line",
 ]
 
@@ -441,18 +439,10 @@ class CoxeterSystem:
         I = frozenset(I)
         return all(s in I for s in self.reduced_word(w))
 
-    def min_coset_reps(self, I, side: str = "left") -> list[int]:
-        """Minimal representatives of the cosets of W_I, sorted by (length, index).
-
-        side="left" gives representatives of the left cosets w*W_I (no right
-        descent inside I); side="right" gives those of W_I*w.
-        """
-        I = self.check_subset(I)
-        if side == "left":
-            return [w for w in self.by_length if I <= self._asc_right[w]]
-        if side == "right":
-            return [w for w in self.by_length if I <= self._asc_left[w]]
-        raise ValueError("side must be 'left' or 'right'")
+    def min_coset_reps(self, I) -> list[int]:
+        """Minimal representatives of the left cosets w*W_I in W, sorted by
+        (length, index)."""
+        return self.parabolic_coset_reps(self.full_subset, I)
 
     def parabolic_coset_reps(self, J, I) -> list[int]:
         """Minimal representatives of the cosets w*W_I inside W_J, I subset of J."""
@@ -622,19 +612,6 @@ def elem_of_line(sys: CoxeterSystem, line) -> int:
                 changed = True
     # line * (s_{g1} ... s_{gk}) = e, so line = s_{gk} * ... * s_{g1}
     return sys.word_to_elem(reversed(word))
-
-
-def type_a_transversal_lines(m: int, n: int) -> list[tuple[int, ...]]:
-    """One-line forms of the (m, n)-shuffles: increasing on 1..m and on m+1..m+n.
-
-    Generated directly from value-set choices, independent of any group table.
-    """
-    lines = []
-    values = range(1, m + n + 1)
-    for first in combinations(values, m):
-        rest = tuple(x for x in values if x not in first)
-        lines.append(first + rest)
-    return lines
 
 
 def interleaving_rep_line(m: int, n: int, k: int, t: int) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ representative tau: the J-induction of the conjugation twist of M's
 restriction to the cross-section subset.  Both sides are built explicitly,
 together with the two basis-indexed transfer maps from the structure of the
 triple factorization w = u*tau*v; verification checks they are mutually
-inverse and generator-equivariant, all exactly over Q.
+inverse and generator-equivariant, all exactly over Q.  The induced side
+does not depend on J, so `split_induced` decomposes one induction along any J.
 
 The symmetric-group specialization (both subsets maximal, M an induction
 product of two modules) is rebuilt here by an independent route: transversal
@@ -41,6 +42,7 @@ __all__ = [
     "TauBlock",
     "MackeyInstance",
     "build_sides",
+    "split_induced",
     "build_transfer_maps",
     "verify",
     "verify_tensor_decomposition",
@@ -89,12 +91,23 @@ class MackeyInstance:
 
 
 def build_sides(sys: CoxeterSystem, I, J, M: HeckeModule) -> MackeyInstance:
-    """Assemble the restricted induction and its block decomposition."""
+    """Induce M to the full algebra and decompose its restriction to H_J."""
     I = sys.check_subset(I)
-    J = sys.check_subset(J)
+    sys.check_subset(J)
     if M.subset != I:
         raise ValueError("module must live over the subset I")
-    big = induce(M, sys.full_subset)
+    return split_induced(induce(M, sys.full_subset), J)
+
+
+def split_induced(big: HeckeModule, J) -> MackeyInstance:
+    """Restrict big, a module induced to the full algebra, to H_J and
+    decompose it; M and I are read from big.induced."""
+    sys = big.system
+    if big.induced is None or big.subset != sys.full_subset:
+        raise ValueError("the module must be induced to the full algebra")
+    J = sys.check_subset(J)
+    M = big.induced.source
+    I = M.subset
     lhs = restrict(big, J)
     blocks = []
     offset = 0

@@ -225,11 +225,12 @@ def validate(M: HeckeModule) -> list[tuple[str, bool, int | Fraction]]:
 
 
 def act_letters(M: HeckeModule, letters) -> RatMat:
-    """Product of generator matrices along an arbitrary word."""
-    out = RatMat.identity(M.dim)
+    """Product of generator matrices along a word, in a new matrix: k - 1
+    products for k letters."""
+    out = None
     for s in letters:
-        out = out @ M.act(s)
-    return out
+        out = M.act(s).copy() if out is None else out @ M.act(s)
+    return RatMat.identity(M.dim) if out is None else out
 
 
 def act_word(M: HeckeModule, y: int) -> RatMat:
@@ -535,16 +536,15 @@ def one_dim_factor(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
     return companion(system, I, params)
 
 
-def random_conjugate(M: HeckeModule, seed: int, shears: int | None = None) -> HeckeModule:
-    """Change basis by a seeded product of elementary shear matrices."""
+def random_conjugate(M: HeckeModule, seed: int) -> HeckeModule:
+    """Change basis by a seeded product of 2 * dim elementary shear matrices."""
     rng = random.Random(seed)
     d = M.dim
     if d < 2:
         return HeckeModule(M.system, M.subset, M.params, d, dict(M.gen_action))
-    count = 2 * d if shears is None else shears
     P = RatMat.identity(d)
     Pinv = RatMat.identity(d)
-    for _ in range(count):
+    for _ in range(2 * d):
         r = rng.randrange(d)
         s = rng.randrange(d - 1)
         if s >= r:

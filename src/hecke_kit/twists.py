@@ -62,7 +62,6 @@ __all__ = [
     "gamma_prime",
     "Pairing",
     "build_pairing",
-    "verify_pairing_equivariance",
     "thm48_part1_map",
     "verify_thm48",
 ]
@@ -477,17 +476,6 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
     for br in _B_BRANCHES:
         rep.add(f"case rule {br} reproduces its pairing blocks", okB[br],
                 detail={"fired": countsB[br]})
-
-
-def verify_pairing_equivariance(M: HeckeModule, N: HeckeModule) -> VerificationReport:
-    data = build_pairing(M, N)
-    rep = VerificationReport(
-        title="pairing with the product of dual twists",
-        instance={"m": data.m, "n": data.n, "dim_M": M.dim, "dim_N": N.dim,
-                  "params": str(M.params)},
-    )
-    _pairing_checks(data, rep)
-    return rep
 
 
 def _part1_from(data: Pairing) -> ModuleMap:

@@ -3,11 +3,13 @@ acceptance module."""
 
 from fractions import Fraction
 
+from hecke_kit import battery, mackey
 from hecke_kit.battery import (
     SCENES,
     braid_scene,
     conjugation_scene,
     coset_scene,
+    mackey_scene,
     negative_control_scene,
 )
 from hecke_kit.coxeter import get_system, symmetric_group_system
@@ -68,6 +70,74 @@ def test_conjugation_scene_word_count():
     rep = conjugation_scene()
     assert rep.passed
     assert rep.checks[0].detail == {"words": 423}
+
+
+def test_mackey_scene_induces_each_module_once_per_subset(monkeypatch):
+    # Ind_I^W M does not depend on J: per (group, point) each subset I gets
+    # one regular module and three inductions to the full algebra, and the
+    # frozen A3 instance adds one of each
+    groups = ("A2", "I2(5)")
+    points = (P10, PM11)
+    monkeypatch.setattr(battery, "MACKEY_GROUPS", groups)
+    monkeypatch.setattr(battery, "DEFAULT_PARAM_BATTERY", points)
+    family = []          # every family module the scene builds, kept alive
+    counts = {"regular": 0, "induce": 0, "verify": 0}
+
+    def built(make, key=None):
+        def wrapper(*args, **kwargs):
+            M = make(*args, **kwargs)
+            family.append(M)
+            if key:
+                counts[key] += 1
+            return M
+        return wrapper
+
+    induce = mackey.induce
+
+    def counted_induce(M, J):
+        if frozenset(J) == M.system.full_subset and any(M is F for F in family):
+            counts["induce"] += 1
+        return induce(M, J)
+
+    def counted_verify(inst):
+        counts["verify"] += 1
+        return mackey.verify(inst)
+
+    monkeypatch.setattr(battery, "regular", built(battery.regular, "regular"))
+    monkeypatch.setattr(battery, "one_dim_factor", built(battery.one_dim_factor))
+    monkeypatch.setattr(battery, "random_conjugate", built(battery.random_conjugate))
+    monkeypatch.setattr(battery, "induce", counted_induce, raising=False)
+    monkeypatch.setattr(mackey, "induce", counted_induce)
+    monkeypatch.setattr(battery, "verify", counted_verify)
+    rep = mackey_scene(seed=0)
+    assert rep.passed
+    n_subsets = sum(len(battery._all_subsets(get_system(g))) for g in groups) * len(points)
+    n_pairs = sum(len(battery._all_subsets(get_system(g))) ** 2 for g in groups) * len(points)
+    assert counts == {"regular": n_subsets + 1, "induce": 3 * n_subsets + 1,
+                      "verify": 3 * n_pairs}
+
+
+def test_mackey_scene_failure_names_the_family(monkeypatch):
+    monkeypatch.setattr(battery, "MACKEY_GROUPS", ("A2",))
+    monkeypatch.setattr(battery, "DEFAULT_PARAM_BATTERY", (P23,))
+    conjugate = battery.random_conjugate
+
+    def faulty(M, seed):
+        out = conjugate(M, seed)
+        if out.subset:                     # one entry off in one generator
+            A = out.gen_action[min(out.subset)]
+            A.cols[0][0] = A.cols[0].get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(battery, "random_conjugate", faulty)
+    rep = mackey_scene(seed=0)
+    check = rep.checks[0]
+    assert check.name == "A2 at (2,3): all subset pairs and modules" and not check.ok
+    failures = check.detail["failures"]
+    assert failures and all("'random conjugate'" in f for f in failures)
+    assert not any("'regular'" in f for f in failures)
+    assert "([0], [0], 'random conjugate', 2)" in failures
+    assert rep.checks[-1].ok                # the frozen A3 instance is untouched
 
 
 def test_braid_scene():

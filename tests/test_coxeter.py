@@ -6,6 +6,7 @@ oracle here uses that route rather than the implementation under test.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -25,7 +26,6 @@ from hecke_kit.coxeter import (
     is_type_a,
     one_line,
     symmetric_group_system,
-    type_a_transversal_lines,
 )
 
 S3 = get_system("A2")
@@ -36,8 +36,8 @@ B3 = get_system("B3")
 # -- oracles ----------------------------------------------------------------
 
 
-def coset_partition(sys, I, side):
-    """Partition of W into cosets of W_I, computed by orbit closure."""
+def coset_partition(sys, I):
+    """Partition of W into left cosets w*W_I, computed by orbit closure."""
     unseen = set(range(sys.size))
     blocks = []
     while unseen:
@@ -47,7 +47,7 @@ def coset_partition(sys, I, side):
         while frontier:
             u = frontier.pop()
             for s in I:
-                v = sys.right_table[u][s] if side == "left" else sys.left_table[u][s]
+                v = sys.right_table[u][s]
                 if v not in block:
                     block.add(v)
                     frontier.append(v)
@@ -312,7 +312,7 @@ def test_parabolic_elements_oracle():
         for I in subsets(sys.rank):
             got = sys.parabolic_elements(I)
             # oracle: the orbit of the identity under right multiplication
-            block = next(b for b in coset_partition(sys, I, "left") if 0 in b)
+            block = next(b for b in coset_partition(sys, I) if 0 in b)
             assert sorted(got) == sorted(block)
             assert got == sorted(got, key=lambda w: (sys.length[w], w))
 
@@ -320,15 +320,14 @@ def test_parabolic_elements_oracle():
 def test_min_coset_reps_oracle():
     for sys in (S4, B3):
         for I in subsets(sys.rank):
-            for side in ("left", "right"):
-                reps = sys.min_coset_reps(I, side)
-                blocks = coset_partition(sys, I, side)
-                assert sorted(reps) == sorted(min_of(sys, b) for b in blocks)
-                assert len(reps) * len(sys.parabolic_elements(I)) == sys.size
+            reps = sys.min_coset_reps(I)
+            blocks = coset_partition(sys, I)
+            assert sorted(reps) == sorted(min_of(sys, b) for b in blocks)
+            assert len(reps) * len(sys.parabolic_elements(I)) == sys.size
 
 
 def test_min_coset_reps_example_s3():
-    reps = S3.min_coset_reps({0}, "left")
+    reps = S3.min_coset_reps({0})
     assert [S3.elem_name(w) for w in reps] == ["e", "s2", "s1*s2"]
 
 
@@ -350,7 +349,7 @@ def test_parabolic_coset_reps():
                     seen |= coset
                 assert seen == set(sys.parabolic_elements(J))
     # the full-group case agrees with the plain transversal
-    assert S4.parabolic_coset_reps(S4.full_subset, {0, 1}) == S4.min_coset_reps({0, 1}, "left")
+    assert S4.parabolic_coset_reps(S4.full_subset, {0, 1}) == S4.min_coset_reps({0, 1})
 
 
 def test_parabolic_factorize():
@@ -359,7 +358,7 @@ def test_parabolic_factorize():
     assert (S3.elem_name(x), S3.elem_name(y)) == ("s1*s2", "s1")
     for sys in (S4, B3):
         for I in subsets(sys.rank):
-            reps = set(sys.min_coset_reps(I, "left"))
+            reps = set(sys.min_coset_reps(I))
             for w in range(sys.size):
                 x, y = sys.parabolic_factorize(w, I)
                 assert x in reps
@@ -390,7 +389,7 @@ def test_triple_factorize_s4_exhaustive():
                 u, tau, v = S4.triple_factorize(w, J, I)
                 assert tau in taus
                 K, _, _ = S4.cross_section(tau, J, I)
-                assert u in set(S4.min_coset_reps(K, "left")) & set(S4.parabolic_elements(J))
+                assert u in set(S4.min_coset_reps(K)) & set(S4.parabolic_elements(J))
                 assert S4.in_parabolic(v, I)
                 assert S4.mult(S4.mult(u, tau), v) == w
                 assert S4.length[u] + S4.length[tau] + S4.length[v] == S4.length[w]
@@ -443,12 +442,20 @@ def test_one_line_is_homomorphism():
         assert luv == tuple(lu[lv[i] - 1] for i in range(4))  # (uv)(i) = u(v(i))
 
 
+def type_a_transversal_lines(m, n):
+    """One-line forms of the (m, n)-shuffles, increasing on 1..m and on
+    m+1..m+n, generated from value-set choices without any group table."""
+    values = range(1, m + n + 1)
+    return [first + tuple(x for x in values if x not in first)
+            for first in itertools.combinations(values, m)]
+
+
 def test_transversal_lines_match_group_route():
     # shuffles generated from value sets == minimal coset reps from tables
     for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         sys = symmetric_group_system(m + n)
         I = frozenset(range(sys.rank)) - {m - 1}
-        reps = sys.min_coset_reps(I, "left")
+        reps = sys.min_coset_reps(I)
         assert sorted(type_a_transversal_lines(m, n)) == sorted(one_line(sys, w) for w in reps)
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from hecke_kit.coxeter import get_system, interleaving_rep_line, symmetric_group_system
 from hecke_kit.linalg import RatMat
-from hecke_kit.mackey import build_sides, build_transfer_maps, verify, verify_tensor_decomposition
-from hecke_kit.repmod import regular, scalar
+from hecke_kit.mackey import (
+    build_sides, build_transfer_maps, split_induced, verify, verify_tensor_decomposition,
+)
+from hecke_kit.repmod import induce, regular, scalar
 from hecke_kit.scalars import DEFAULT_PARAM_BATTERY, ParamSpec
 
 P10 = ParamSpec.parse("1,0")
@@ -145,6 +147,28 @@ def test_instance_guard_wrong_subset():
     M = regular(sys, {0}, P10)
     with pytest.raises(ValueError):
         build_sides(sys, {0, 1}, {0}, M)
+
+
+def test_split_induced_matches_build_sides():
+    sys = get_system("A3")
+    M = regular(sys, {0, 1}, P23)
+    big = induce(M, sys.full_subset)
+    for J in ({0, 1}, {0, 2}, {1}, set()):
+        shared = split_induced(big, J)
+        fresh = build_sides(sys, {0, 1}, J, M)
+        assert shared.big is big and shared.M is M and shared.I == fresh.I
+        assert verify(shared).to_json() == verify(fresh).to_json()
+
+
+def test_split_induced_guards():
+    sys = get_system("A3")
+    M = regular(sys, {0}, P10)
+    with pytest.raises(ValueError, match="induced to the full algebra"):
+        split_induced(M, {0})                          # not induced
+    with pytest.raises(ValueError, match="induced to the full algebra"):
+        split_induced(induce(M, {0, 1}), {0})          # induced to a parabolic
+    with pytest.raises(ValueError):
+        split_induced(induce(M, sys.full_subset), {5})
 
 
 def test_report_shape_and_serialization():

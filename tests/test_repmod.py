@@ -97,6 +97,37 @@ def test_act_word_matsumoto_property():
         assert act_word(M, w0) == act_letters(M, [1, 0, 1])
 
 
+def test_act_letters_costs_one_product_per_extra_letter(monkeypatch):
+    M = random_conjugate(regular(S3, {0, 1}, P23), seed=5)
+    calls = []
+    matmul = RatMat.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMat, "__matmul__", counted)
+    for word in ([0], [0, 1], [1, 0, 1], [0, 1, 0, 1]):
+        calls.clear()
+        act_letters(M, word)
+        assert len(calls) == len(word) - 1
+    calls.clear()
+    assert act_letters(M, []).is_identity() and not calls
+
+
+def test_act_letters_shares_no_column_with_the_module():
+    M = regular(S3, {0, 1}, P23)
+    mats = [act_letters(M, [j]) for j in (0, 1)] + [act_letters(M, [0, 1])]
+    assert mats == [M.act(0), M.act(1), M.act(0) @ M.act(1)]
+    own = {id(col) for A in M.gen_action.values() for col in A.cols}
+    for X in mats:
+        assert X is not M.act(0) and X is not M.act(1)
+        assert not own & {id(col) for col in X.cols}
+    X = mats[0]
+    X.cols[0][0] = 99
+    assert M.act(0) == regular(S3, {0, 1}, P23).act(0)
+
+
 def test_restrict():
     M = regular(S3, {0, 1}, P10)
     same = restrict(M, {0, 1})

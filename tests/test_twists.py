@@ -21,7 +21,6 @@ from hecke_kit.twists import (
     thm44_part2_map,
     thm48_part1_map,
     transport_induction_twist,
-    verify_pairing_equivariance,
     verify_thm44,
     verify_thm48,
 )
@@ -266,14 +265,35 @@ def test_thm44_larger_shape_regular_factors():
 
 # -- the pairing --------------------------------------------------------------
 
+PARTNER = "pairing intertwines the action with its partner generator"
+PAIRING_CHECKS = [
+    "pairing pairs each basis line with exactly one dual line",
+    "pairing matrix is invertible",
+    "dual-line involution is self-inverse",
+    "alternate basis presentation matches the induced action",
+    PARTNER,
+] + [f"case rule {br} reproduces its pairing blocks"
+     for br in ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")]
+
+
+def pairing_checks(M, N):
+    """The pairing checks of verify_thm48, by name."""
+    rep = verify_thm48(M, N, cross_check=False)
+    by_name = {c.name: c for c in rep.checks}
+    return {name: by_name[name] for name in PAIRING_CHECKS}
+
+
+def failing_checks(checks):
+    return [name for name, c in checks.items() if not c.ok]
+
 
 def test_pairing_one_one_frozen():
     data = build_pairing(trivial(P23), trivial(P23))
     assert data.matrix == RatMat.from_rows([[0, 1], [1, 0]])
     assert data.change == RatMat.from_rows([[1, -2], [0, 1]])
-    rep = verify_pairing_equivariance(trivial(P23), trivial(P23))
-    assert not failing(rep)
-    main = next(c for c in rep.checks if "partner generator" in c.name)
+    checks = pairing_checks(trivial(P23), trivial(P23))
+    assert not failing_checks(checks)
+    main = checks[PARTNER]
     assert main.detail["A"] == {"A1": 0, "A2": 0, "A3": 1, "A4": 1}
     assert main.detail["B"] == {"B1": 0, "B2": 0, "B3": 1, "B4": 1}
     assert main.detail["nonzero pairs"] == {"A3|B3": 1, "A4|B3": 1, "A4|B4": 1}
@@ -282,28 +302,27 @@ def test_pairing_one_one_frozen():
 def test_pairing_one_one_degenerate_params():
     # with both parameters zero the diagonal branch contributes nothing and
     # only the swap blocks survive
-    rep = verify_pairing_equivariance(trivial(P00), trivial(P00))
-    assert not failing(rep)
-    main = next(c for c in rep.checks if "partner generator" in c.name)
+    checks = pairing_checks(trivial(P00), trivial(P00))
+    assert not failing_checks(checks)
+    main = checks[PARTNER]
     assert main.detail["nonzero pairs"] == {"A3|B3": 1}
 
 
 def test_pairing_two_one_fires_first_block_branch():
-    rep = verify_pairing_equivariance(full_regular(S2, P10), trivial(P10))
-    assert not failing(rep)
-    main = next(c for c in rep.checks if "partner generator" in c.name)
+    checks = pairing_checks(full_regular(S2, P10), trivial(P10))
+    assert not failing_checks(checks)
+    main = checks[PARTNER]
     assert main.detail["A"]["A1"] > 0
     assert main.detail["A"]["A2"] == 0
-    rep_swapped = verify_pairing_equivariance(trivial(P10), full_regular(S2, P10))
-    main_swapped = next(c for c in rep_swapped.checks if "partner generator" in c.name)
+    main_swapped = pairing_checks(trivial(P10), full_regular(S2, P10))[PARTNER]
     assert main_swapped.detail["A"]["A2"] > 0
     assert main_swapped.detail["A"]["A1"] == 0
 
 
 def test_pairing_two_two_covers_all_branches():
-    rep = verify_pairing_equivariance(full_regular(S2, P23), full_regular(S2, P23))
-    assert not failing(rep)
-    main = next(c for c in rep.checks if "partner generator" in c.name)
+    checks = pairing_checks(full_regular(S2, P23), full_regular(S2, P23))
+    assert not failing_checks(checks)
+    main = checks[PARTNER]
     assert all(v > 0 for v in main.detail["A"].values())
     assert all(v > 0 for v in main.detail["B"].values())
 
@@ -311,8 +330,7 @@ def test_pairing_two_two_covers_all_branches():
 @pytest.mark.parametrize("ptxt", [str(p) for p in DEFAULT_PARAM_BATTERY])
 def test_pairing_across_params(ptxt):
     params, other = pick_factors(ptxt)
-    rep = verify_pairing_equivariance(other, full_regular(S2, params))
-    assert not failing(rep)
+    assert not failing_checks(pairing_checks(other, full_regular(S2, params)))
 
 
 # -- the four dual statements -------------------------------------------------
