@@ -151,6 +151,12 @@ def conjugation_scene() -> VerificationReport:
     return rep
 
 
+def _failures(r: VerificationReport) -> dict | None:
+    """A check's detail for a nested report: its failed check names, or
+    None when it passed."""
+    return None if r.passed else {"failures": [c.name for c in r.checks if not c.ok]}
+
+
 MACKEY_GROUPS = ("A2", "A3", "B3", "I2(5)")
 MACKEY_FAMILIES = ("regular", "one-dimensional", "random conjugate")
 
@@ -215,9 +221,7 @@ def tensor_scene(seed: int = 0) -> VerificationReport:
                 M, N = make(sm, sm.full_subset, params), make(sn, sn.full_subset, params)
                 r = verify_tensor_decomposition(M, N, k, seed=seed)
                 rep.add(f"(m,n,k)=({m},{n},{k}) {fname} factors at ({params})",
-                        r.passed,
-                        detail=None if r.passed else
-                        {"failures": [c.name for c in r.checks if not c.ok]})
+                        r.passed, detail=_failures(r))
     return rep
 
 
@@ -313,9 +317,7 @@ def product_twist_scene(seed: int = 0) -> VerificationReport:
         L = regular(systems[3], systems[3].full_subset, params)
         r = verify_thm44(M, N, L=L, seed=seed)
         rep.add(f"restriction parts with the regular three-letter module at ({params})",
-                r.passed,
-                detail=None if r.passed else
-                {"failures": [c.name for c in r.checks if not c.ok]})
+                r.passed, detail=_failures(r))
     return rep
 
 
@@ -345,9 +347,7 @@ def dual_twist_scene(seed: int = 0) -> VerificationReport:
                 if c.name.startswith("case rule") and c.detail:
                     key = c.name.split()[2]
                     fired[key] = fired.get(key, 0) + c.detail.get("fired", 0)
-            rep.add(f"(m,n)=({m},{n}) at ({params})", r.passed,
-                    detail=None if r.passed else
-                    {"failures": [c.name for c in r.checks if not c.ok]})
+            rep.add(f"(m,n)=({m},{n}) at ({params})", r.passed, detail=_failures(r))
     rep.add("every case rule fires somewhere in the battery",
             all(fired.get(k, 0) > 0
                 for k in ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")),

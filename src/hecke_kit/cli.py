@@ -140,6 +140,16 @@ def _check_mackey(args) -> VerificationReport:
     return rep
 
 
+def _factor_pairs(args):
+    """(params, M, N) per parameter point: the modules args.M over S_m and
+    args.N over S_n, each over its full subset."""
+    sm = symmetric_group_system(args.m, cap=args.group_cap)
+    sn = symmetric_group_system(args.n, cap=args.group_cap)
+    for params in _params_list(args):
+        yield (params, build_module(args.M, sm, sm.full_subset, params, args.seed),
+               build_module(args.N, sn, sn.full_subset, params, args.seed))
+
+
 def _check_corollary(args) -> VerificationReport:
     rep = VerificationReport(
         title="two-factor decomposition with interleaving representatives",
@@ -148,11 +158,7 @@ def _check_corollary(args) -> VerificationReport:
                   "params": [str(p) for p in _params_list(args)]},
         seed=args.seed,
     )
-    sm = symmetric_group_system(args.m, cap=args.group_cap)
-    sn = symmetric_group_system(args.n, cap=args.group_cap)
-    for params in _params_list(args):
-        M = build_module(args.M, sm, sm.full_subset, params, args.seed)
-        N = build_module(args.N, sn, sn.full_subset, params, args.seed)
+    for params, M, N in _factor_pairs(args):
         rep.extend(verify_tensor_decomposition(M, N, args.k, seed=args.seed),
                    prefix=f"({params}) ")
     return rep
@@ -167,12 +173,8 @@ def _check_twists(args, which: str) -> VerificationReport:
                   "params": [str(p) for p in _params_list(args)]},
         seed=args.seed,
     )
-    sm = symmetric_group_system(args.m, cap=args.group_cap)
-    sn = symmetric_group_system(args.n, cap=args.group_cap)
-    for params in _params_list(args):
-        M = build_module(args.M, sm, sm.full_subset, params, args.seed)
-        N = build_module(args.N, sn, sn.full_subset, params, args.seed)
-        run = verify_thm44 if which == "thm44" else verify_thm48
+    run = verify_thm44 if which == "thm44" else verify_thm48
+    for params, M, N in _factor_pairs(args):
         rep.extend(run(M, N, seed=args.seed), prefix=f"({params}) ")
     return rep
 

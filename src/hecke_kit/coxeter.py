@@ -472,22 +472,6 @@ class CoxeterSystem:
             y = self.left_table[y][s]
         return w, y
 
-    def left_parabolic_factorize(self, w: int, J) -> tuple[int, int]:
-        """Split w = y*x with y in W_J and x having no left descent in J."""
-        J = self.check_subset(J)
-        y_letters: list[int] = []
-        while True:
-            ds = self.desc_left(w) & J
-            if not ds:
-                break
-            s = min(ds)
-            y_letters.append(s)
-            w = self.left_table[w][s]
-        y = 0
-        for s in y_letters:
-            y = self.right_table[y][s]
-        return y, w
-
     def double_coset_reps(self, J, I) -> list[int]:
         """Minimal (J, I) double coset representatives, sorted by (length, index)."""
         J = self.check_subset(J)
@@ -505,8 +489,10 @@ class CoxeterSystem:
         the cross-section subgroup W_{K(tau)} inside W_J.
         """
         x, v = self.parabolic_factorize(w, I)
-        u, tau = self.left_parabolic_factorize(x, J)
-        return u, tau, v
+        # x = u * tau with u in W_J is the mirror of the right factorization
+        # of x^-1; the factorization is unique, so one walk serves both sides
+        a, b = self.parabolic_factorize(self.inverse[x], J)
+        return self.inverse[b], self.inverse[a], v
 
     def cross_section(self, tau: int, J, I) -> tuple[frozenset, frozenset, dict[int, int]]:
         """Generator cross-section data K(tau), its conjugate, and the pairing.

@@ -12,7 +12,9 @@ denominators, the check multiplies its identity through by the positive
 integer that clears it, and every product runs on integers.  Storage keeps
 the true values, because `cols` is also the matrix as callers read it, and
 every other routine (kernels, inverses, hom bases) works on true values.
-Invertibility is certified by a nonzero determinant modulo a large prime
+`kernel_basis` is the one elimination over Q: `RatMat.inverse` reads the
+inverse off a kernel.  `RatMat.det_mod` is the one modular elimination:
+invertibility is certified by a nonzero determinant modulo a large prime
 after clearing denominators, which is a sound (one-sided) proof of
 invertibility over Q.
 """
@@ -372,48 +374,26 @@ class RatMat:
         raise RuntimeError("all probe primes divided a denominator")
 
     def inverse(self) -> "RatMat":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse, solved by `kernel_basis`.
+
+        The kernel of the rows of [A | -I] is {(x, Ax)}.  Its basis vector
+        for free column n + i has y-part exactly e_i for every i iff A is
+        invertible (the y-parts then span Q^n), and its x-part is then
+        column i of the inverse.
+        """
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        rows = [dict() for _ in range(n)]
+        rows = [{n + r: -1} for r in range(n)]
         for j, col in enumerate(self.cols):
             for r, v in col.items():
                 rows[r][j] = v
-        aug = [{r: 1} for r in range(n)]
-        perm = list(range(n))
-        for c in range(n):
-            pr = next((r for r in range(c, n) if rows[perm[r]].get(c)), None)
-            if pr is None:
-                raise ValueError("matrix is singular")
-            perm[c], perm[pr] = perm[pr], perm[c]
-            prow, paug = rows[perm[c]], aug[perm[c]]
-            if prow[c] != 1:
-                inv = _inv(prow[c])
-                for j, v in prow.items():
-                    prow[j] = _q(inv * v)
-                for j, v in paug.items():
-                    paug[j] = _q(inv * v)
-            for r in range(n):
-                if r == c:
-                    continue
-                row = rows[perm[r]]
-                f = row.get(c)
-                if not f:
-                    continue
-                for dst, src in ((row, prow), (aug[perm[r]], paug)):
-                    for j, v in src.items():
-                        w = dst.get(j)
-                        if w is None:
-                            dst[j] = _q(-(f * v))
-                        elif w := w - f * v:
-                            dst[j] = w if w.__class__ is int else _q(w)
-                        else:
-                            del dst[j]
         out = RatMat(n, n)
-        for r in range(n):
-            for j, v in aug[perm[r]].items():
-                out.cols[j][r] = v
+        for i, vec in enumerate(kernel_basis(rows, 2 * n)):
+            x = {r: v for r, v in vec.items() if r < n}
+            if len(vec) - len(x) != 1 or vec.get(n + i) != 1:
+                raise ValueError("matrix is singular")
+            out.cols[i] = x
         return out
 
 

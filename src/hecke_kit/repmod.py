@@ -6,11 +6,14 @@ inclusion, outer tensor over commuting subsets, the induction product of two
 symmetric-group modules, twisting by algebra (anti-)morphisms, and direct
 sums.  Induction follows the transversal trichotomy: a generator applied to
 a basis line either shifts it to a longer transversal element, commutes past
-it into the source module, or splits by the quadratic rule.
+it into the source module, or splits by the quadratic rule.  That rule lives
+in `induce` alone: the regular module of H_I is the induction of the trivial
+module of the empty parabolic.
 
 Induced modules and direct sums remember how they were built; the hom-space
 solver uses that to replace one big intertwiner system by smaller ones (a
 found map is always re-verified directly, so the shortcut is not trusted).
+The isomorphism search solves Hom(M, N) once, in the direction it is given.
 An induced module keeps its transversal tree, each coset representative
 linked to a shorter one by a generator, and `lift_induced` is the one walk
 up that tree: every map built on an induced basis (hom lifts, twist
@@ -452,26 +455,10 @@ def direct_sum(parts) -> HeckeModule:
 
 
 def regular(system: CoxeterSystem, I, params: ParamSpec) -> HeckeModule:
-    """Left multiplication on the basis of H_I itself."""
-    I = system.check_subset(I)
-    elems = system.parabolic_elements(I)
-    pos = {w: t for t, w in enumerate(elems)}
-    a0, b0 = _q(params.a0), _q(params.b0)
-    gen_action = {}
-    for i in I:
-        mat = RatMat.zeros(len(elems), len(elems))
-        for w in elems:
-            sw = system.left_table[w][i]
-            col = mat.cols[pos[w]]
-            if system.length[sw] > system.length[w]:
-                col[pos[sw]] = 1
-            else:
-                if a0:
-                    col[pos[w]] = a0
-                if b0:
-                    col[pos[sw]] = b0
-        gen_action[i] = mat
-    return HeckeModule(system, I, params, len(elems), gen_action)
+    """Left multiplication on the basis of H_I itself: the induction of the
+    trivial module of the empty parabolic, whose transversal is the
+    parabolic's elements in (length, index) order."""
+    return induce(scalar(system, frozenset(), 1, params), I)
 
 
 def scalar_roots(params: ParamSpec) -> list[Fraction]:
@@ -679,8 +666,11 @@ def _search_invertible(basis: list[RatMat], seed: int) -> Optional[RatMat]:
 def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
     """Isomorphism search report: map (or None), hom dimension, route.
 
-    A returned map has passed `ModuleMap.check` here and is certified
-    invertible by the search, so callers need not check it again.
+    The search runs in Hom(M, N) only, so pass the module whose
+    construction shrinks the solve (an induction or a direct sum, see
+    `hom_space`) as M; every caller in the library does.  A returned map
+    has passed `ModuleMap.check` here and is certified invertible by the
+    search, so callers need not check it again.
     """
     if M.params != N.params:
         raise ParamMismatch(f"({M.params}) vs ({N.params})")
@@ -691,30 +681,14 @@ def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
     if M.dim == 0:
         zero = ModuleMap(M, N, RatMat.zeros(0, 0), M.subset)
         return {"map": zero, "hom_dim": 0, "reason": "zero module"}
-
-    # prefer the side whose construction metadata shrinks the solve
-    def structured(X):
-        return X.summands is not None or X.induced is not None
-
-    flip = structured(N) and not structured(M)
-    src, tgt = (N, M) if flip else (M, N)
-    basis = hom_space(src, tgt)
-    hom_dim = len(basis)
+    basis = hom_space(M, N)
     found = _search_invertible(basis, seed) if basis else None
-    if found is None and not flip:
-        # mirror search so the outcome is direction-independent
-        rbasis = hom_space(N, M)
-        rfound = _search_invertible(rbasis, seed) if rbasis else None
-        if rfound is not None:
-            found, flip, src, tgt = rfound, True, N, M
     if found is None:
-        return {"map": None, "hom_dim": hom_dim, "reason": "no invertible combination"}
-    fmap = ModuleMap(src, tgt, found, M.subset)
-    if flip:
-        fmap = fmap.inverse()
+        return {"map": None, "hom_dim": len(basis), "reason": "no invertible combination"}
+    fmap = ModuleMap(M, N, found, M.subset)
     if not fmap.check():
         raise RuntimeError("internal error: candidate map failed equivariance")
-    return {"map": fmap, "hom_dim": hom_dim, "reason": "found"}
+    return {"map": fmap, "hom_dim": len(basis), "reason": "found"}
 
 
 def iso_test(M: HeckeModule, N: HeckeModule, seed: int = 0) -> Optional[ModuleMap]:

@@ -365,6 +365,14 @@ def test_parabolic_factorize():
                 assert sys.in_parabolic(y, I)
                 assert sys.mult(x, y) == w
                 assert sys.length[x] + sys.length[y] == sys.length[w]
+                # mirrored: the factors of w^-1, inverted, split w = y' * x'
+                # with y' in W_I and x' free of left descents in I
+                a, b = sys.parabolic_factorize(sys.inverse[w], I)
+                yl, xl = sys.inverse[b], sys.inverse[a]
+                assert sys.in_parabolic(yl, I)
+                assert not sys.desc_left(xl) & I
+                assert sys.mult(yl, xl) == w
+                assert sys.length[yl] + sys.length[xl] == sys.length[w]
 
 
 def test_double_coset_reps_oracle():

@@ -6,7 +6,8 @@ import pytest
 
 from hecke_kit.coxeter import GroupTooLarge, get_system, symmetric_group_system
 from hecke_kit.hecke import SupportOutsideDomain, chi, omega, phi, phi_hat, theta
-from hecke_kit.linalg import RatMat, kernel_basis
+from hecke_kit import repmod
+from hecke_kit.linalg import RatMat, _q, kernel_basis
 from hecke_kit.mackey import verify_tensor_decomposition
 from hecke_kit.repmod import (
     ElementOutsideParabolic,
@@ -357,6 +358,45 @@ def test_regular_module_s3():
     assert M.dim == 6 and M.is_valid()
 
 
+def left_regular_reference(system, I, params):
+    """Left multiplication on the basis of H_I, built entry by entry: T_s
+    shifts T_w to T_sw when sw is longer and splits by the quadratic rule
+    T_s T_w = a0 T_w + b0 T_sw otherwise."""
+    I = system.check_subset(I)
+    elems = system.parabolic_elements(I)
+    pos = {w: t for t, w in enumerate(elems)}
+    a0, b0 = _q(params.a0), _q(params.b0)
+    gen_action = {}
+    for i in I:
+        mat = RatMat.zeros(len(elems), len(elems))
+        for w in elems:
+            sw = system.left_table[w][i]
+            col = mat.cols[pos[w]]
+            if system.length[sw] > system.length[w]:
+                col[pos[sw]] = 1
+            else:
+                if a0:
+                    col[pos[w]] = a0
+                if b0:
+                    col[pos[sw]] = b0
+        gen_action[i] = mat
+    return len(elems), gen_action
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(5)", "H3"])
+def test_regular_matches_the_left_regular_reference(name):
+    sys = get_system(name)
+    for params in BATTERY + (ParamSpec(F(1, 2), F(3, 16)),):
+        for I in subsets(sys.rank):
+            M = regular(sys, I, params)
+            dim, want = left_regular_reference(sys, I, params)
+            assert M.dim == dim and M.gen_action == want, (name, sorted(I), params)
+            for mat in M.gen_action.values():
+                assert all(v.__class__ is int or v.denominator != 1
+                           for col in mat.cols for v in col.values())
+            assert M.induced.transversal == sys.parabolic_elements(I)
+
+
 def test_scalar_roots_frozen():
     assert scalar_roots(P10) == [0, 1]
     assert scalar_roots(P00) == [0]
@@ -469,6 +509,30 @@ def test_iso_negative_control_nilpotent_case():
     col_e = pos[0]
     for X in hom_space(M, N):
         assert all(not X.cols[c] for c in range(2) if c != col_e)
+
+
+def test_iso_test_solves_one_hom_space(monkeypatch):
+    # a found map and a failed search alike solve Hom(M, N) once, in the
+    # direction given; nested calls of the direct-sum route do not count
+    depth, top = [0], []
+    real = repmod.hom_space
+
+    def counted(M, N):
+        if not depth[0]:
+            top.append((M, N))
+        depth[0] += 1
+        try:
+            return real(M, N)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(repmod, "hom_space", counted)
+    for params, lams, found in ((P10, (0, 1), True), (P00, (0, 0), False)):
+        M = direct_sum([scalar(S2, {0}, lam, params) for lam in lams])
+        N = regular(S2, {0}, params)
+        top.clear()
+        assert (iso_test_detail(M, N)["map"] is not None) == found
+        assert top == [(M, N)]
 
 
 def test_iso_test_outcome_is_symmetric():

@@ -153,7 +153,11 @@ def test_transport_rejects_anti_morphisms():
 
 def test_transport_rejects_a_module_that_is_not_induced():
     with pytest.raises(ValueError, match="induced to the full algebra"):
-        transport_induction_twist(theta(S2), regular(S2, S2.full_subset, P10))
+        transport_induction_twist(theta(S2), random_conjugate(full_regular(S2, P10), seed=3))
+    # the regular module is the induction of the trivial module of the empty
+    # parabolic, so the transport takes it
+    fmap = transport_induction_twist(theta(S2), full_regular(S2, P10))
+    assert fmap.check() and fmap.is_invertible()
     # induced, but not to the full algebra
     part = induce(scalar(S3, frozenset(), 1, P10), {0})
     with pytest.raises(ValueError, match="induced to the full algebra"):
@@ -219,9 +223,11 @@ def count_induce_calls(monkeypatch):
 
 
 def test_thm44_builds_the_product_once(monkeypatch):
-    # M (x) N once, then per product part one product of the twisted factors
+    # M (x) N once, then per product part one product of the twisted factors;
+    # the factors are built first, since a regular module is an induction
+    M, N = full_regular(S2, P23), trivial(P23)
     calls = count_induce_calls(monkeypatch)
-    rep = verify_thm44(full_regular(S2, P23), trivial(P23))
+    rep = verify_thm44(M, N)
     assert not failing(rep)
     assert len(calls) <= 4
 
@@ -229,8 +235,9 @@ def test_thm44_builds_the_product_once(monkeypatch):
 def test_thm48_builds_each_product_once(monkeypatch):
     # two products for each of the two pairings, the chi-twisted product and
     # the sources of parts 3 and 4
+    M, N = full_regular(S2, P23), trivial(P23)
     calls = count_induce_calls(monkeypatch)
-    rep = verify_thm48(full_regular(S2, P23), trivial(P23))
+    rep = verify_thm48(M, N)
     assert not failing(rep)
     assert len(calls) <= 7
 
