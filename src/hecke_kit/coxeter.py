@@ -1,10 +1,13 @@
-"""Finite Coxeter systems realized by coset enumeration.
+"""Finite Coxeter systems realized by dense multiplication tables.
 
 A group is specified by its Coxeter matrix (m_ii = 1, m_ij = m_ji >= 2).
 Elements are small integers indexing rows of dense left/right multiplication
-tables produced by a Todd-Coxeter style enumeration over the trivial
-subgroup.  Everything downstream (lengths, ascent sets, coset
-representatives, factorizations) is table lookups.
+tables.  The right table is built length by length from the cosets of the
+rank-2 parabolic subgroups: each element's right descents, and the edges to
+its lower neighbours, follow from its components in the dihedral subgroups
+W_{s,t}, so no coset coincidence ever has to be resolved.  Everything
+downstream (lengths, ascent sets, coset representatives, factorizations) is
+table lookups.
 
 Generators are 0-indexed internally; every text interface (element rendering,
 CLI flags, JSON) uses the conventional 1-based labels s1, s2, ...
@@ -12,6 +15,7 @@ CLI flags, JSON) uses the conventional 1-based labels s1, s2, ...
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -53,10 +57,10 @@ def default_cap() -> int:
 
 
 class GroupTooLarge(RuntimeError):
-    """Enumeration exceeded the coset cap before closing."""
+    """The group has more elements than the cap; `reached` is cap + 1."""
 
     def __init__(self, reached: int, cap: int):
-        super().__init__(f"group enumeration exceeded cap: reached {reached} cosets with cap {cap}")
+        super().__init__(f"group enumeration exceeded cap: reached {reached} elements with cap {cap}")
         self.reached = reached
         self.cap = cap
 
@@ -148,138 +152,76 @@ class CoxeterMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter enumeration over the trivial subgroup.
+# Construction by length from rank-2 coset data.
 #
 # All generators are involutions, so the table keeps one column per generator
-# and the edge alpha --s--> beta is always stored in both directions.  The
-# relators are the braid words (s_i s_j)^{m_ij}.
+# and the edge w --s--> ws is stored in both directions.  The elements of each
+# length are walked in numbering order, generators in order, and an unset w*s
+# is numbered as a new element u when it is first reached: this is the
+# breadth-first numbering of the Cayley graph, so it lists W by length, which
+# CoxeterSystem checks and relies on.
 #
-# Once the table closes, one breadth-first pass from the identity (generators
-# in order) over the raw union-find table numbers the live cosets; their rows
-# are then renumbered in place and the dead rows are dropped with the raw
-# table.  A breadth-first numbering of the Cayley graph lists the elements in
-# order of length, which CoxeterSystem checks and relies on.
+# For each pair {s, t}, suffix[w][k] is the length of w's component in the
+# dihedral parabolic W_{s,t}: the length of y in w = x*y, y in W_{s,t} and x
+# minimal in w*W_{s,t}, lengths adding (Bjorner and Brenti, Combinatorics of
+# Coxeter Groups, 2005, section 2.4).  Since u = w*s is longer than w, t != s
+# is a right descent of u exactly when w's {s,t}-component has length
+# m_st - 1, making u's the longest element of W_{s,t}; then
+# u*t = w*(t*s)^(m_st - 1), a walk down w's alternating suffix to the coset
+# minimum and back up the other alternating word, over edges already linked.
+# So every downward edge of u is linked when u is created, and no coincidence
+# ever arises.  u's component grows by one from w's for the pairs that
+# contain s; for the other pairs it comes from a lower neighbour u*t (one more
+# than its component), or is 0 when neither generator is a descent.
 
 
 def _enumerate(matrix: CoxeterMatrix, cap: int) -> list[list[int]]:
     n = matrix.rank
-    relators = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relators.append([i, j] * matrix.orders[i][j])
+    m = matrix.orders
+    pair = {}
+    for k, (s, t) in enumerate(itertools.combinations(range(n), 2)):
+        pair[s, t] = pair[t, s] = k
+    npairs = n * (n - 1) // 2
+    # per generator s: (t, pair index, m_st, walk from w to w*s*t) for t != s,
+    # and (t, r, pair index) for the pairs without s
+    with_s = [[(t, pair[s, t], m[s][t], [t, s] * (m[s][t] - 1)) for t in range(n) if t != s]
+              for s in range(n)]
+    without_s = [[(t, r, pair[t, r]) for t in range(n) for r in range(t + 1, n) if s not in (t, r)]
+                 for s in range(n)]
 
     table: list[list[int]] = [[-1] * n]
-    parent = [0]  # union-find over cosets
-    live = 1
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def define(alpha: int, s: int) -> int:
-        nonlocal live
-        if live >= cap:
-            raise GroupTooLarge(live + 1, cap)
-        beta = len(table)
-        table.append([-1] * n)
-        parent.append(beta)
-        live += 1
-        table[alpha][s] = beta
-        table[beta][s] = alpha
-        return beta
-
-    def merge(a: int, b: int, queue: list[int]):
-        nonlocal live
-        a, b = find(a), find(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            parent[b] = a
-            live -= 1
-            queue.append(b)
-
-    def coincidence(a: int, b: int):
-        queue: list[int] = []
-        merge(a, b, queue)
-        while queue:
-            gamma = queue.pop()
-            for s in range(n):
-                delta = table[gamma][s]
-                if delta == -1:
-                    continue
-                table[delta][s] = -1
-                mu, nu = find(gamma), find(delta)
-                if table[mu][s] != -1:
-                    merge(nu, table[mu][s], queue)
-                elif table[nu][s] != -1:
-                    merge(mu, table[nu][s], queue)
-                else:
-                    table[mu][s] = nu
-                    table[nu][s] = mu
-
-    def scan_and_fill(alpha: int, word: list[int]):
-        f, b = alpha, alpha
-        i, j = 0, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] != -1:
-                f = find(table[f][word[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][word[j]] != -1:
-                b = find(table[b][word[j]])
-                j -= 1
-            if j < i:
-                if f != b:
-                    coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][word[i]] = f
-                return
-            define(f, word[i])
-
-    alpha = 0
-    while alpha < len(table):
-        if find(alpha) == alpha:
-            for w in relators:
-                scan_and_fill(alpha, w)
-                if find(alpha) != alpha:
-                    break
-            if find(alpha) == alpha:
-                for s in range(n):
-                    if table[alpha][s] == -1:
-                        define(alpha, s)
-        alpha += 1
-
-    # canonical numbering: breadth-first over the live cosets from the
-    # identity (coset 0 stays a root, since merge keeps the smaller id),
-    # generators in order, resolving stale entries through find
-    newpos = [-1] * len(table)
-    newpos[0] = 0
-    order = [0]
-    head = 0
-    while head < len(order):
-        row = table[order[head]]
-        head += 1
+    suffix = [[0] * npairs]
+    # the created ints, so each element is one int object in every table
+    elems = [0]
+    for w in elems:
+        row = table[w]
         for s in range(n):
-            nxt = find(row[s])
-            if newpos[nxt] == -1:
-                newpos[nxt] = len(order)
-                order.append(nxt)
-    if len(order) != live:
-        raise RuntimeError("enumeration produced a disconnected table")
-    # renumber the live rows in place; the dead rows go with the raw table
-    for old in order:
-        row = table[old]
-        for s in range(n):
-            row[s] = newpos[find(row[s])]
-    return [table[old] for old in order]
+            if row[s] != -1:
+                continue
+            u = len(table)
+            if u >= cap:
+                raise GroupTooLarge(u + 1, cap)
+            new = [-1] * n
+            new[s] = w
+            row[s] = u
+            old, fresh = suffix[w], [0] * npairs
+            for t, k, mst, walk in with_s[s]:
+                fresh[k] = d = old[k] + 1
+                if d == mst:
+                    v = w
+                    for a in walk:
+                        v = table[v][a]
+                    new[t] = v
+                    table[v][t] = u
+            for t, r, k in without_s[s]:
+                if new[t] != -1:
+                    fresh[k] = suffix[new[t]][k] + 1
+                elif new[r] != -1:
+                    fresh[k] = suffix[new[r]][k] + 1
+            table.append(new)
+            suffix.append(fresh)
+            elems.append(u)
+    return table
 
 
 class CoxeterSystem:
@@ -287,9 +229,11 @@ class CoxeterSystem:
 
     Elements are integers 0..size-1 with 0 the identity.  right_table[w][s]
     is w*s and left_table[w][s] is s*w.  The numbering is breadth-first from
-    the identity, so lengths never decrease along it: by_length is simply
-    range(size), and the constructor raises RuntimeError if a table breaks
-    that order.
+    the identity, generators in order, so lengths never decrease along it:
+    by_length is simply range(size), and the constructor raises RuntimeError
+    if a table breaks that order (lengths are recomputed apart from the
+    construction to test it).  A group with more than `cap` elements raises
+    GroupTooLarge; one with exactly `cap` elements builds.
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None, name: str | None = None):
@@ -337,17 +281,24 @@ class CoxeterSystem:
         for w in range(1, self.size):
             self.inverse[w] = self.left_table[self.inverse[bfs_parent[w]]][bfs_letter[w]]
 
-        full = self.full_subset = frozenset(range(self.rank))
+        self.full_subset = frozenset(range(self.rank))
         self.gens = right[0]  # element index of each generator
-        # at most 2^rank distinct ascent sets: keep one object for each
-        subsets: dict[frozenset, frozenset] = {}
+        # ascent sets as bit masks, one generator column at a time; at most
+        # 2^rank distinct sets, and one frozenset object for each
+        subsets: dict[int, frozenset] = {}
 
-        def ascents(table, w):
-            asc = frozenset(s for s in full if self.length[table[w][s]] > self.length[w])
-            return subsets.setdefault(asc, asc)
+        def ascents(table):
+            masks = [0] * self.size
+            for s in range(self.rank):
+                bit = 1 << s
+                masks = [mask | bit if length[row[s]] > lw else mask
+                         for mask, row, lw in zip(masks, table, length)]
+            for mask in set(masks) - subsets.keys():
+                subsets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
+            return [subsets[mask] for mask in masks]
 
-        self._asc_left = [ascents(self.left_table, w) for w in range(self.size)]
-        self._asc_right = [ascents(self.right_table, w) for w in range(self.size)]
+        self._asc_left = ascents(self.left_table)
+        self._asc_right = ascents(right)
         self._parabolic_cache: dict[frozenset, list[int]] = {}
         self._gen_of_elem = {g: i for i, g in enumerate(self.gens)}
         self._reduced_words: dict[int, tuple[int, ...]] = {0: ()}

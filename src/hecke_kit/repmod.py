@@ -670,7 +670,10 @@ def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
     construction shrinks the solve (an induction or a direct sum, see
     `hom_space`) as M; every caller in the library does.  A returned map
     has passed `ModuleMap.check` here and is certified invertible by the
-    search, so callers need not check it again.
+    search, so callers need not check it again.  A candidate that fails that
+    check (a hom space lifted from a module that breaks its relations) is
+    no map: the reason is "candidate failed equivariance", and "residual"
+    holds its largest entry.
     """
     if M.params != N.params:
         raise ParamMismatch(f"({M.params}) vs ({N.params})")
@@ -686,8 +689,10 @@ def iso_test_detail(M: HeckeModule, N: HeckeModule, seed: int = 0) -> dict:
     if found is None:
         return {"map": None, "hom_dim": len(basis), "reason": "no invertible combination"}
     fmap = ModuleMap(M, N, found, M.subset)
-    if not fmap.check():
-        raise RuntimeError("internal error: candidate map failed equivariance")
+    residual = fmap.residual()
+    if residual:
+        return {"map": None, "hom_dim": len(basis), "reason": "candidate failed equivariance",
+                "residual": residual}
     return {"map": fmap, "hom_dim": len(basis), "reason": "found"}
 
 

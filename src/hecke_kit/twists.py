@@ -44,7 +44,7 @@ from .repmod import (
     ModuleMap,
     boxtimes,
     induce,
-    iso_test,
+    iso_test_detail,
     lift_induced,
     restrict,
     twist_along,
@@ -179,11 +179,16 @@ def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
 def _cross_check(rep: VerificationReport, tag: str, source: HeckeModule,
                  target: HeckeModule, cross_check, seed: int) -> None:
     """The independent isomorphism search, unless cross_check is False or
-    is "auto" and the modules exceed dimension 64."""
+    is "auto" and the modules exceed dimension 64.  A failed search records
+    its reason, and a failed candidate's residual, in the check's detail."""
     if cross_check is False or (cross_check == "auto" and source.dim > 64):
         return
-    found = iso_test(source, target, seed=seed)
-    rep.add(f"{tag}: isomorphism search concurs", found is not None)
+    found = iso_test_detail(source, target, seed=seed)
+    ok = found["map"] is not None
+    detail = None if ok else {"reason": found["reason"]}
+    if "residual" in found:
+        detail["residual"] = str(found["residual"])
+    rep.add(f"{tag}: isomorphism search concurs", ok, detail=detail)
 
 
 def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,

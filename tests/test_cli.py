@@ -71,6 +71,11 @@ def test_describe_group_cap_overflow(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap, code", [("14400", 0), ("14399", 2)])
+def test_describe_group_cap_is_the_largest_order_allowed(capsys, cap, code):
+    assert run(capsys, "describe", "--group", "H4", "--group-cap", cap)[0] == code
+
+
 def test_describe_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("HECKE_KIT_CAP", "100")
     code, _, err = run(capsys, "describe", "--group", "H4")

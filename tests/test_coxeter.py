@@ -93,6 +93,135 @@ def random_reduced_word(sys, w, rng):
     return word
 
 
+def todd_coxeter(matrix, cap):
+    """Right table by Todd-Coxeter coincidence enumeration over the trivial
+    subgroup, renumbered breadth-first from the identity, generators in order.
+
+    The relators are the braid words (s_i s_j)^{m_ij}; all generators are
+    involutions, so each edge is stored in both directions.  This is the
+    construction the library used before it built tables length by length,
+    kept as an independent reference.
+    """
+    n = matrix.rank
+    relators = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            relators.append([i, j] * matrix.orders[i][j])
+
+    table: list[list[int]] = [[-1] * n]
+    parent = [0]  # union-find over cosets
+    live = 1
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def define(alpha: int, s: int) -> int:
+        nonlocal live
+        if live >= cap:
+            raise GroupTooLarge(live + 1, cap)
+        beta = len(table)
+        table.append([-1] * n)
+        parent.append(beta)
+        live += 1
+        table[alpha][s] = beta
+        table[beta][s] = alpha
+        return beta
+
+    def merge(a: int, b: int, queue: list[int]):
+        nonlocal live
+        a, b = find(a), find(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            live -= 1
+            queue.append(b)
+
+    def coincidence(a: int, b: int):
+        queue: list[int] = []
+        merge(a, b, queue)
+        while queue:
+            gamma = queue.pop()
+            for s in range(n):
+                delta = table[gamma][s]
+                if delta == -1:
+                    continue
+                table[delta][s] = -1
+                mu, nu = find(gamma), find(delta)
+                if table[mu][s] != -1:
+                    merge(nu, table[mu][s], queue)
+                elif table[nu][s] != -1:
+                    merge(mu, table[nu][s], queue)
+                else:
+                    table[mu][s] = nu
+                    table[nu][s] = mu
+
+    def scan_and_fill(alpha: int, word: list[int]):
+        f, b = alpha, alpha
+        i, j = 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] != -1:
+                f = find(table[f][word[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j]] != -1:
+                b = find(table[b][word[j]])
+                j -= 1
+            if j < i:
+                if f != b:
+                    coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i]] = f
+                return
+            define(f, word[i])
+
+    alpha = 0
+    while alpha < len(table):
+        if find(alpha) == alpha:
+            for w in relators:
+                scan_and_fill(alpha, w)
+                if find(alpha) != alpha:
+                    break
+            if find(alpha) == alpha:
+                for s in range(n):
+                    if table[alpha][s] == -1:
+                        define(alpha, s)
+        alpha += 1
+
+    # canonical numbering: breadth-first over the live cosets from the
+    # identity (coset 0 stays a root, since merge keeps the smaller id),
+    # generators in order, resolving stale entries through find
+    newpos = [-1] * len(table)
+    newpos[0] = 0
+    order = [0]
+    head = 0
+    while head < len(order):
+        row = table[order[head]]
+        head += 1
+        for s in range(n):
+            nxt = find(row[s])
+            if newpos[nxt] == -1:
+                newpos[nxt] = len(order)
+                order.append(nxt)
+    if len(order) != live:
+        raise RuntimeError("enumeration produced a disconnected table")
+    # renumber the live rows in place; the dead rows go with the raw table
+    for old in order:
+        row = table[old]
+        for s in range(n):
+            row[s] = newpos[find(row[s])]
+    return [table[old] for old in order]
+
+
 # -- construction and orders ------------------------------------------------
 
 
@@ -148,6 +277,62 @@ def test_cap_enforced():
         CoxeterSystem(CoxeterMatrix.named("H4"), cap=100)
     with pytest.raises(GroupTooLarge):
         CoxeterSystem(CoxeterMatrix.named("A5"), cap=500)
+
+
+@pytest.mark.parametrize("name, order", [("A5", 720), ("F4", 1152), ("H4", 14400)])
+def test_cap_bounds_the_group_order_exactly(name, order):
+    matrix = CoxeterMatrix.named(name)
+    assert CoxeterSystem(matrix, cap=order).size == order
+    with pytest.raises(GroupTooLarge, match=f"reached {order} elements with cap {order - 1}$"):
+        CoxeterSystem(matrix, cap=order - 1)
+
+
+def block_diagonal(*blocks):
+    rows = []
+    offset, rank = 0, sum(b.rank for b in blocks)
+    for b in blocks:
+        for row in b.orders:
+            rows.append([2] * offset + list(row) + [2] * (rank - offset - b.rank))
+        offset += b.rank
+    return CoxeterMatrix.from_lists(rows)
+
+
+def orders_matrix(rank, edges):
+    """Coxeter matrix with the given {(i, j): m_ij} and 2 elsewhere."""
+    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for (i, j), m in edges.items():
+        rows[i][j] = rows[j][i] = m
+    return CoxeterMatrix.from_lists(rows)
+
+
+REFERENCE_MATRICES = (
+    [CoxeterMatrix.named(f"A{n}") for n in range(1, 7)]
+    + [CoxeterMatrix.named(f"B{n}") for n in range(2, 6)]
+    + [CoxeterMatrix.named(x) for x in ("D4", "D5", "F4", "H3", "H4", "E6")]
+    + [CoxeterMatrix.named(f"I2({m})") for m in [*range(2, 13), 128, 300]]
+    + [block_diagonal(CoxeterMatrix.named("A2"), CoxeterMatrix.named("I2(5)"))]
+    # rank 4, not a chain in index order: two interleaved dihedral blocks
+    # (no finite rank-4 group has all of the orders 4, 5 and 6), and H4 with
+    # its generators relabelled
+    + [orders_matrix(4, {(0, 2): p, (1, 3): q}) for p, q in ((4, 5), (4, 6), (5, 6))]
+    + [orders_matrix(4, {(0, 2): 5, (2, 1): 3, (1, 3): 3})]
+)
+
+
+@pytest.mark.parametrize("matrix", REFERENCE_MATRICES, ids=lambda m: str(m.orders))
+def test_construction_by_length_matches_todd_coxeter(matrix):
+    assert coxeter._enumerate(matrix, 100_000) == todd_coxeter(matrix, 100_000)
+
+
+@pytest.mark.parametrize("matrix", [
+    orders_matrix(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),  # affine A2
+    orders_matrix(4, {(0, 1): 4, (0, 2): 5, (0, 3): 6}),
+], ids=["affine A2", "star 4, 5, 6"])
+def test_infinite_groups_exceed_the_cap_on_both_sides(matrix):
+    with pytest.raises(GroupTooLarge, match="with cap 1000$"):
+        coxeter._enumerate(matrix, 1000)
+    with pytest.raises(GroupTooLarge, match="with cap 1000$"):
+        todd_coxeter(matrix, 1000)
 
 
 def test_env_cap(monkeypatch):
@@ -213,7 +398,14 @@ def test_h4_build_peak_stays_near_its_retained_size():
     finally:
         tracemalloc.stop()
     assert system.size == 14_400
-    assert peak <= 1.25 * retained
+    assert peak <= 1.15 * retained
+
+
+def test_tables_hold_one_int_object_per_element():
+    system = get_system("H4")
+    ids = {id(x) for table in (system.right_table, system.left_table) for row in table for x in row}
+    ids |= {id(x) for x in system.inverse}
+    assert len(ids) <= system.size
 
 
 def test_out_of_length_order_numbering_is_a_fault(monkeypatch, capsys):

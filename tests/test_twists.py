@@ -10,7 +10,7 @@ import pytest
 from hecke_kit.coxeter import get_system, one_line, symmetric_group_system
 from hecke_kit.hecke import chi, omega, phi, theta
 from hecke_kit.linalg import RatMat
-from hecke_kit import repmod, twists
+from hecke_kit import cli, repmod, twists
 from hecke_kit.repmod import induce, iso_test, random_conjugate, regular, scalar
 from hecke_kit.scalars import DEFAULT_PARAM_BATTERY, ParamSpec
 from hecke_kit.twists import (
@@ -263,6 +263,36 @@ def test_thm44_cross_check_flag():
     without = verify_thm44(M, N, cross_check=False)
     assert any("isomorphism search" in nm for nm in all_names(with_iso))
     assert not any("isomorphism search" in nm for nm in all_names(without))
+
+
+def test_a_module_that_breaks_its_relations_fails_a_check(monkeypatch, capsys):
+    # planted fault: every induced descent entry a0 becomes a0 + e(a0), with
+    # e(a) = a(a-1)(a-2)(a+1), which vanishes at all four battery points
+    real = repmod.induce
+
+    def faulty(M, J):
+        big = real(M, J)
+        sys, d = big.system, M.dim
+        a0 = Fraction(M.params.a0)
+        bad = a0 + a0 * (a0 - 1) * (a0 - 2) * (a0 + 1)
+        for j, mat in big.gen_action.items():
+            for t, g in enumerate(big.induced.transversal):
+                if sys.length[sys.left_table[g][j]] < sys.length[g]:
+                    for k in range(d):
+                        mat.set_entry(t * d + k, t * d + k, bad)
+        return big
+
+    monkeypatch.setattr(repmod, "induce", faulty)
+    monkeypatch.setattr(twists, "induce", faulty)
+    code = cli.main(["check", "thm44", "--m", "2", "--n", "1", "--params", "1/2,3/16",
+                     "--format", "json"])
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    searches = [c for c in checks if not c["ok"] and "isomorphism search" in c["name"]]
+    assert searches
+    for c in searches:
+        assert c["detail"]["reason"] == "candidate failed equivariance"
+        assert c["detail"]["residual"] != "0"
 
 
 def test_thm44_larger_shape_regular_factors():
