@@ -287,16 +287,6 @@ def test_cap_bounds_the_group_order_exactly(name, order):
         CoxeterSystem(matrix, cap=order - 1)
 
 
-def block_diagonal(*blocks):
-    rows = []
-    offset, rank = 0, sum(b.rank for b in blocks)
-    for b in blocks:
-        for row in b.orders:
-            rows.append([2] * offset + list(row) + [2] * (rank - offset - b.rank))
-        offset += b.rank
-    return CoxeterMatrix.from_lists(rows)
-
-
 def orders_matrix(rank, edges):
     """Coxeter matrix with the given {(i, j): m_ij} and 2 elsewhere."""
     rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
@@ -310,7 +300,7 @@ REFERENCE_MATRICES = (
     + [CoxeterMatrix.named(f"B{n}") for n in range(2, 6)]
     + [CoxeterMatrix.named(x) for x in ("D4", "D5", "F4", "H3", "H4", "E6")]
     + [CoxeterMatrix.named(f"I2({m})") for m in [*range(2, 13), 128, 300]]
-    + [block_diagonal(CoxeterMatrix.named("A2"), CoxeterMatrix.named("I2(5)"))]
+    + [orders_matrix(4, {(0, 1): 3, (2, 3): 5})]  # A2 + I2(5), block-diagonal
     # rank 4, not a chain in index order: two interleaved dihedral blocks
     # (no finite rank-4 group has all of the orders 4, 5 and 6), and H4 with
     # its generators relabelled
