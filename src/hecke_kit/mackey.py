@@ -291,11 +291,14 @@ def verify_tensor_decomposition(M: HeckeModule, N: HeckeModule, k: int,
         all_match &= cor_block.dim == block.module.dim
     if all_match and cor_blocks:
         cor_rhs = direct_sum(cor_blocks)
-        detail = iso_test_detail(cor_rhs, inst.lhs, seed=seed)
-        # iso_test_detail returns only a checked map certified invertible
-        rep.add("isomorphism search links the block sum to the restriction",
-                detail["map"] is not None,
-                detail={"hom_dim": detail["hom_dim"]})
+        found = iso_test_detail(cor_rhs, inst.lhs, seed=seed)
+        # iso_test_detail returns only a checked map certified invertible; a
+        # failed search records its reason, and a failed candidate's residual
+        ok = found["map"] is not None
+        detail = {"hom_dim": found["hom_dim"]}
+        if not ok:
+            detail.update((k, str(found[k])) for k in ("reason", "residual") if k in found)
+        rep.add("isomorphism search links the block sum to the restriction", ok, detail=detail)
     else:
         rep.add("isomorphism search links the block sum to the restriction", False,
                 detail={"reason": "block mismatch"})

@@ -66,10 +66,12 @@ def test_coset_scene_covers_all_pairs():
             "pairs": 64}
 
 
-def test_conjugation_scene_word_count():
+def test_conjugation_scene_representative_count():
     rep = conjugation_scene()
     assert rep.passed
-    assert rep.checks[0].detail == {"words": 423}
+    assert [(c.name, c.detail) for c in rep.checks] == [
+        (f"{g}: cross-section basis elements slide past minimal representatives",
+         {"representatives": n}) for g, n in (("A3", 281), ("B3", 509))]
 
 
 def test_mackey_scene_induces_each_module_once_per_subset(monkeypatch):

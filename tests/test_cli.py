@@ -181,6 +181,29 @@ def test_check_algebra_json(capsys):
     assert obj["tool"]["name"]
 
 
+def test_check_algebra_proves_h3_in_full(capsys):
+    # 3 generators and 120 elements: 9 * 120 commutation checks per basis,
+    # 3 * 120 intertwining checks, and no sampling at this size
+    code, out, _ = run(capsys, "check", "algebra", "--group", "H3", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["seed"] is None and obj["instance"] == {"group": "H3", "size": 120}
+    details = {c["name"]: c.get("detail") for c in obj["checks"]}
+    commute = [details[f"left and right generator rules commute in the {b} basis"]
+               for b in ("pi", "opi")]
+    assert commute == [{"checks": 1080}, {"checks": 1080}]
+    assert sum(d["checks"] for d in commute) == 2160
+    assert details["basis change intertwines the left generator rules"] == {"checks": 360}
+
+
+def test_check_algebra_fails_on_a_planted_fault(capsys, plant_left_rule_fault):
+    plant_left_rule_fault("b doubled on s1")
+    code, out, _ = run(capsys, "check", "algebra", "--group", "A3", "--format", "json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert "left and right generator rules commute in the pi basis" in failed
+
+
 def test_check_theta_braid(capsys):
     code, out, _ = run(capsys, "check", "theta-braid", "--group", "I2(6)")
     assert code == 0
@@ -197,6 +220,19 @@ def test_check_corollary(capsys):
     code, out, _ = run(capsys, "check", "corollary", "--m", "2", "--n", "1",
                        "--k", "1", "--params", "0,0")
     assert code == 0 and "overall: PASS" in out
+
+
+def test_check_corollary_names_a_failed_search(plant_induce_fault, capsys):
+    # the planted fault is invisible at the four battery points, not at 1/2
+    code, out, _ = run(capsys, "check", "corollary", "--m", "2", "--n", "1",
+                       "--k", "1", "--params", "1/2,3/16", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    search = [c for c in checks if c["name"].endswith(
+        "isomorphism search links the block sum to the restriction")]
+    assert len(search) == 1 and not search[0]["ok"]
+    assert search[0]["detail"]["reason"] == "candidate failed equivariance"
+    assert search[0]["detail"]["residual"] != "0"
 
 
 def test_check_corollary_bad_k(capsys):

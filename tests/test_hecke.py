@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hecke_kit import hecke
 from hecke_kit.coxeter import CoxeterMatrix, CoxeterSystem, NotDoubleCosetMinimal, get_system
 from hecke_kit.hecke import (
     BasisMismatch,
@@ -20,6 +21,7 @@ from hecke_kit.hecke import (
     phi_hat,
     theta,
     theta_hat,
+    verify_algebra,
 )
 from hecke_kit.scalars import A, B, BiPoly
 
@@ -104,6 +106,75 @@ def test_associativity_and_unit_laws():
     for _ in range(25):
         x, y, z = (rand_elem(rng, S4, basis="opi") for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+def test_right_rule_is_right_multiplication_by_a_generator():
+    rng = random.Random(32)
+    for basis in ("pi", "opi"):
+        for _ in range(20):
+            x = rand_elem(rng, B3, basis)
+            for t in range(B3.rank):
+                right = HeckeElement(B3, x._gen_right(t, x.coeffs), basis)
+                assert right == x * G(B3, t, basis)
+
+
+# -- the algebra proof and planted faults -------------------------------------
+
+PROOF_CHECKS = [
+    "generator squares follow the quadratic relation",
+    "left and right generator rules commute in the pi basis",
+    "left and right generator rules commute in the opi basis",
+    "basis change intertwines the left generator rules",
+    "length-additive products concatenate to one basis element",
+]
+
+
+@pytest.mark.parametrize("sys", [S3, S4, B3], ids=["A2", "A3", "B3"])
+def test_verify_algebra_proves_all_of_w(sys):
+    rep = verify_algebra(sys)
+    assert rep.passed and rep.seed is None
+    assert [c.name for c in rep.checks] == PROOF_CHECKS
+    r, n = sys.rank, sys.size
+    assert [c.detail for c in rep.checks[1:]] == [
+        {"checks": r * r * n}, {"checks": r * r * n}, {"checks": r * n}, {"pairs": r * n}]
+
+
+# pi-basis commutation failures of each left-rule fault on A3 and B3
+LEFT_RULE_FAULT_COUNTS = {
+    "b doubled on s1": (12, 16),
+    "a dropped on s2 descents of length >= 3": (18, 22),
+    "extra a^2 - a at length 5": (36, 72),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LEFT_RULE_FAULT_COUNTS))
+def test_left_rule_faults_break_commutation(plant_left_rule_fault, fault):
+    plant_left_rule_fault(fault)
+    for sys, failed in zip((S4, B3), LEFT_RULE_FAULT_COUNTS[fault]):
+        rep = verify_algebra(sys)
+        by_name = {c.name: c for c in rep.checks}
+        for basis in ("pi", "opi"):
+            check = by_name[f"left and right generator rules commute in the {basis} basis"]
+            assert not check.ok
+            assert check.detail["checks"] == 9 * sys.size
+            assert check.detail["failed"] == failed
+        assert not by_name["basis change intertwines the left generator rules"].ok
+
+
+def test_basis_row_without_its_shift_breaks_intertwining(monkeypatch):
+    # the row of s1 into the shifted basis loses its shift: pi_s1 -> opi_s1
+    real = hecke._basis_row
+
+    def lossy(sys, to, w):
+        row = real(sys, to, w)
+        return {w: row[w]} if to == "opi" and w == sys.gens[0] else row
+
+    monkeypatch.setattr(hecke, "_basis_row", lossy)
+    for sys in (S4, B3):
+        rep = verify_algebra(sys)
+        failed = [c for c in rep.checks if not c.ok]
+        assert [c.name for c in failed] == ["basis change intertwines the left generator rules"]
+        assert failed[0].detail["first"] == "L_s1 on T_e"
 
 
 def test_opi_quadratic_frozen():

@@ -265,25 +265,8 @@ def test_thm44_cross_check_flag():
     assert not any("isomorphism search" in nm for nm in all_names(without))
 
 
-def test_a_module_that_breaks_its_relations_fails_a_check(monkeypatch, capsys):
-    # planted fault: every induced descent entry a0 becomes a0 + e(a0), with
-    # e(a) = a(a-1)(a-2)(a+1), which vanishes at all four battery points
-    real = repmod.induce
-
-    def faulty(M, J):
-        big = real(M, J)
-        sys, d = big.system, M.dim
-        a0 = Fraction(M.params.a0)
-        bad = a0 + a0 * (a0 - 1) * (a0 - 2) * (a0 + 1)
-        for j, mat in big.gen_action.items():
-            for t, g in enumerate(big.induced.transversal):
-                if sys.length[sys.left_table[g][j]] < sys.length[g]:
-                    for k in range(d):
-                        mat.set_entry(t * d + k, t * d + k, bad)
-        return big
-
-    monkeypatch.setattr(repmod, "induce", faulty)
-    monkeypatch.setattr(twists, "induce", faulty)
+def test_a_module_that_breaks_its_relations_fails_a_check(plant_induce_fault, capsys):
+    # the planted fault is invisible at the four battery points, not at 1/2
     code = cli.main(["check", "thm44", "--m", "2", "--n", "1", "--params", "1/2,3/16",
                      "--format", "json"])
     assert code == 1
