@@ -139,7 +139,7 @@ def test_verify_algebra_proves_all_of_w(sys):
         {"checks": r * r * n}, {"checks": r * r * n}, {"checks": r * n}, {"pairs": r * n}]
 
 
-# pi-basis commutation failures of each left-rule fault on A3 and B3
+# commutation failures of each left-rule fault on A3 and B3, the same in both bases
 LEFT_RULE_FAULT_COUNTS = {
     "b doubled on s1": (12, 16),
     "a dropped on s2 descents of length >= 3": (18, 22),
