@@ -3,14 +3,19 @@
 Three subcommands: `describe` prints group and coset structure, `check` runs
 one verification family on a chosen instance, and `suite` runs the whole
 acceptance battery.  All structured output is JSON; text output is a
-rendering of the same data.  Exit code 0 means every check passed, 1 means
-some check failed, 2 means the request itself was invalid, and 3 means an
-internal fault stopped the run before it could decide.
+rendering of the same data.  Each command registers only the flags it reads:
+`--params` and `--seed` belong to the checks that run at parameter points
+(`check mackey|corollary|thm44|thm48`, one block of checks per point), and
+`suite` takes `--seed` too.  Exit code 0 means every check passed, 1 means
+some check failed, 2 means the request itself was invalid (one `error:` line
+on stderr, usage errors included), and 3 means an internal fault stopped the
+run before it could decide.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys as _sys
 from pathlib import Path
 
@@ -64,13 +69,19 @@ def build_module(token: str, system, subset, params: ParamSpec, seed: int):
                      "use regular, scalar[:lam], companion, or random[:seed]")
 
 
-def _params_list(args) -> list[ParamSpec]:
-    if not args.params:
-        return list(DEFAULT_PARAM_BATTERY)
-    return [ParamSpec.parse(p) for p in args.params]
+def _emit(args, text: str, data: str, passed: bool = True) -> int:
+    """Write text or JSON to stdout, the JSON to --out if given; the exit code."""
+    _sys.stdout.write(text if args.format == "text" else data)
+    if args.out:
+        Path(args.out).write_text(data)
+    return 0 if passed else 1
 
 
-def _describe(args) -> VerificationReport | dict:
+def _report(args, rep: VerificationReport) -> int:
+    return _emit(args, rep.render_text(), rep.to_json(), rep.passed)
+
+
+def _describe(args) -> int:
     system = get_system(args.group, cap=args.group_cap)
     top = system.longest()
     obj = {
@@ -102,7 +113,7 @@ def _describe(args) -> VerificationReport | dict:
                                // len(system.parabolic_elements(K))),
             })
         obj["double_cosets"] = rows
-    return obj
+    return _emit(args, _describe_text(obj), json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _describe_text(obj: dict) -> str:
@@ -123,63 +134,57 @@ def _describe_text(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_mackey(args) -> VerificationReport:
+def _per_point(args, title: str, instance: dict, run) -> int:
+    """One report over the --params points (default: the standard battery):
+    run(params) checks one point, and its checks enter prefixed "(params) "."""
+    points = ([ParamSpec.parse(p) for p in args.params] if args.params
+              else list(DEFAULT_PARAM_BATTERY))
+    rep = VerificationReport(title=title, seed=args.seed,
+                             instance={**instance, "params": [str(p) for p in points]})
+    for params in points:
+        rep.extend(run(params), prefix=f"({params}) ")
+    return _report(args, rep)
+
+
+def _check_mackey(args) -> int:
     system = get_system(args.group, cap=args.group_cap)
     I = parse_subset(args.I or "", system)
     J = parse_subset(args.J or "", system)
-    rep = VerificationReport(
-        title="restricted induction decomposes over double cosets",
-        instance={"group": args.group, "I": [i + 1 for i in sorted(I)],
-                  "J": [j + 1 for j in sorted(J)], "module": args.module,
-                  "params": [str(p) for p in _params_list(args)]},
-        seed=args.seed,
-    )
-    for params in _params_list(args):
-        M = build_module(args.module, system, I, params, args.seed)
-        rep.extend(verify(build_sides(system, I, J, M)), prefix=f"({params}) ")
-    return rep
+    return _per_point(
+        args, "restricted induction decomposes over double cosets",
+        {"group": args.group, "I": [i + 1 for i in sorted(I)],
+         "J": [j + 1 for j in sorted(J)], "module": args.module},
+        lambda params: verify(build_sides(
+            system, I, J, build_module(args.module, system, I, params, args.seed))))
 
 
-def _factor_pairs(args):
-    """(params, M, N) per parameter point: the modules args.M over S_m and
-    args.N over S_n, each over its full subset."""
+# target -> (title, check of the two factor modules); the names are looked up
+# when a check runs, so a patched module attribute takes effect
+_PRODUCT_CHECKS = {
+    "corollary": ("two-factor decomposition with interleaving representatives",
+                  lambda args, M, N: verify_tensor_decomposition(M, N, args.k, seed=args.seed)),
+    "thm44": ("automorphism twists of products and restrictions",
+              lambda args, M, N: verify_thm44(M, N, seed=args.seed)),
+    "thm48": ("anti-automorphism twists of products",
+              lambda args, M, N: verify_thm48(M, N, seed=args.seed)),
+}
+
+
+def _check_product(args) -> int:
+    """The modules args.M over S_m and args.N over S_n, each over its full
+    subset, checked at each point by the target's row of _PRODUCT_CHECKS."""
+    title, check = _PRODUCT_CHECKS[args.target]
     sm = symmetric_group_system(args.m, cap=args.group_cap)
     sn = symmetric_group_system(args.n, cap=args.group_cap)
-    for params in _params_list(args):
-        yield (params, build_module(args.M, sm, sm.full_subset, params, args.seed),
-               build_module(args.N, sn, sn.full_subset, params, args.seed))
+    instance = {"m": args.m, "n": args.n, "M": args.M, "N": args.N}
+    if args.target == "corollary":
+        instance["k"] = args.k
+    return _per_point(args, title, instance, lambda params: check(
+        args, build_module(args.M, sm, sm.full_subset, params, args.seed),
+        build_module(args.N, sn, sn.full_subset, params, args.seed)))
 
 
-def _check_corollary(args) -> VerificationReport:
-    rep = VerificationReport(
-        title="two-factor decomposition with interleaving representatives",
-        instance={"m": args.m, "n": args.n, "k": args.k,
-                  "M": args.M, "N": args.N,
-                  "params": [str(p) for p in _params_list(args)]},
-        seed=args.seed,
-    )
-    for params, M, N in _factor_pairs(args):
-        rep.extend(verify_tensor_decomposition(M, N, args.k, seed=args.seed),
-                   prefix=f"({params}) ")
-    return rep
-
-
-def _check_twists(args, which: str) -> VerificationReport:
-    titles = {"thm44": "automorphism twists of products and restrictions",
-              "thm48": "anti-automorphism twists of products"}
-    rep = VerificationReport(
-        title=titles[which],
-        instance={"m": args.m, "n": args.n, "M": args.M, "N": args.N,
-                  "params": [str(p) for p in _params_list(args)]},
-        seed=args.seed,
-    )
-    run = verify_thm44 if which == "thm44" else verify_thm48
-    for params, M, N in _factor_pairs(args):
-        rep.extend(run(M, N, seed=args.seed), prefix=f"({params}) ")
-    return rep
-
-
-def _check_theta_braid(args) -> VerificationReport:
+def _check_theta_braid(args) -> int:
     system = get_system(args.group, cap=args.group_cap)
     rep = VerificationReport(
         title="the parameter flip respects braid relations",
@@ -192,122 +197,83 @@ def _check_theta_braid(args) -> VerificationReport:
                     check_theta_braid(system, i, j))
     if not rep.checks:
         rep.add("rank below two: nothing to check", True)
-    return rep
+    return _report(args, rep)
 
 
-def _check_algebra(args) -> VerificationReport:
-    return verify_algebra(get_system(args.group, cap=args.group_cap))
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error: <message>` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
-def _emit(rep: VerificationReport, args) -> int:
-    out = rep.render_text() if args.format == "text" else rep.to_json()
-    _sys.stdout.write(out)
-    if args.out:
-        Path(args.out).write_text(rep.to_json())
-    return 0 if rep.passed else 1
+_FLAGS = {
+    "--group-cap": dict(default=None,
+                        help="enumeration cap on the group size, a positive integer"),
+    "--seed": dict(type=int, default=0),
+    "--params": dict(action="append", default=None, metavar="a,b",
+                     help="parameter point, repeatable; default is the standard battery"),
+    "--group": dict(required=True, help="named system, e.g. A3, B3, I2(5)"),
+    "--I": dict(default=None, help="subset of generators, 1-based, e.g. 1,2"),
+    "--J": dict(default=None),
+    "--module": dict(default="regular",
+                     help="module spec: regular | scalar[:lam] | companion | random[:seed]"),
+    "--m": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--M": dict(default="regular", help="module spec for the first factor"),
+    "--N": dict(default="regular", help="module spec for the second factor"),
+    "--k": dict(type=int, required=True),
+}
+_GROUP = ("--group-cap", "--group")
+_SHAPE = ("--group-cap", "--m", "--n", "--M", "--N", "--seed", "--params")
 
 
-def _add_common(p, group=False, subsets=False, shape=False, modules=False):
-    p.add_argument("--group-cap", default=None,
-                   help="enumeration cap on the group size, a positive integer")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--params", action="append", default=None, metavar="a,b",
-                   help="parameter point, repeatable; default is the standard battery")
+def _command(sub, name: str, help: str, run, flags=()):
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="also write the JSON report here")
-    if group:
-        p.add_argument("--group", required=True,
-                       help="named system, e.g. A3, B3, I2(5)")
-    if subsets:
-        p.add_argument("--I", default=None, help="subset of generators, 1-based, e.g. 1,2")
-        p.add_argument("--J", default=None)
-    if shape:
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-    if modules:
-        p.add_argument("--M", default="regular", help="module spec for the first factor")
-        p.add_argument("--N", default="regular", help="module spec for the second factor")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hecke-kit",
         description="exact verification of coset decompositions and twist "
                     "identities for two-parameter Hecke algebras",
     )
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "describe", "group, coset, and cross-section structure", _describe,
+             _GROUP + ("--I", "--J"))
 
-    p = sub.add_parser("describe", help="group, coset, and cross-section structure")
-    _add_common(p, group=True, subsets=True)
+    csub = sub.add_parser("check", help="run one verification family").add_subparsers(
+        dest="target", required=True)
+    _command(csub, "mackey", "restriction of an induced module", _check_mackey,
+             _GROUP + ("--I", "--J", "--module", "--seed", "--params"))
+    _command(csub, "corollary", "two-factor decomposition in symmetric groups",
+             _check_product, _SHAPE + ("--k",))
+    _command(csub, "thm44", "automorphism twists of products", _check_product, _SHAPE)
+    _command(csub, "thm48", "anti-automorphism twists of products", _check_product, _SHAPE)
+    _command(csub, "theta-braid", "flip automorphism braid expansion", _check_theta_braid,
+             _GROUP)
+    _command(csub, "algebra", "defining relations, proved over the whole group",
+             lambda a: _report(a, verify_algebra(get_system(a.group, cap=a.group_cap))),
+             _GROUP)
 
-    c = sub.add_parser("check", help="run one verification family")
-    csub = c.add_subparsers(dest="target", required=True)
-
-    p = csub.add_parser("mackey", help="restriction of an induced module")
-    _add_common(p, group=True, subsets=True)
-    p.add_argument("--module", default="regular",
-                   help="module spec: regular | scalar[:lam] | companion | random[:seed]")
-
-    p = csub.add_parser("corollary", help="two-factor decomposition in symmetric groups")
-    _add_common(p, shape=True, modules=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = csub.add_parser("thm44", help="automorphism twists of products")
-    _add_common(p, shape=True, modules=True)
-
-    p = csub.add_parser("thm48", help="anti-automorphism twists of products")
-    _add_common(p, shape=True, modules=True)
-
-    p = csub.add_parser("theta-braid", help="flip automorphism braid expansion")
-    _add_common(p, group=True)
-
-    p = csub.add_parser("algebra", help="defining relations, proved over the whole group")
-    _add_common(p, group=True)
-
-    p = sub.add_parser("suite", help="run the full acceptance battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None, help="also write the JSON report here")
+    _command(sub, "suite", "run the full acceptance battery",
+             lambda args: _report(args, run_suite(seed=args.seed)), ("--seed",))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "group_cap", None) is not None:
             args.group_cap = parse_cap(args.group_cap, "--group-cap")
-        if args.command == "describe":
-            obj = _describe(args)
-            if args.format == "text":
-                _sys.stdout.write(_describe_text(obj))
-            else:
-                import json
-
-                _sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-            if args.out:
-                import json
-
-                Path(args.out).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-            return 0
-        if args.command == "check":
-            if args.target == "mackey":
-                rep = _check_mackey(args)
-            elif args.target == "corollary":
-                rep = _check_corollary(args)
-            elif args.target in ("thm44", "thm48"):
-                rep = _check_twists(args, args.target)
-            elif args.target == "theta-braid":
-                rep = _check_theta_braid(args)
-            else:
-                rep = _check_algebra(args)
-            return _emit(rep, args)
-        return _emit(run_suite(seed=args.seed), args)
-    except GroupTooLarge as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except ValueError as e:
+        return args.run(args)
+    except (GroupTooLarge, ValueError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:

@@ -655,11 +655,6 @@ def _search_invertible(basis: list[RatMat], seed: int) -> Optional[RatMat]:
                 acc = acc + X.scale(c)
         if not acc.is_zero() and acc.is_invertible():
             return acc
-    acc = basis[0]
-    for X in basis[1:]:
-        acc = acc + X
-        if acc.is_invertible():
-            return acc
     return None
 
 

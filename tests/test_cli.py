@@ -1,5 +1,7 @@
 """Command line behaviour: output shapes, module specs, exit codes."""
 
+import argparse
+import hashlib
 import json
 from fractions import Fraction
 
@@ -314,3 +316,86 @@ def test_internal_fault_exits_3_not_1(capsys, monkeypatch, exc):
                          "--params", "2,3")
     assert code == 3 and out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+# --- flags and pinned output ------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--group", "A3"],
+    ["check", "theta-braid", "--group", "A2"],
+    ["check", "algebra", "--group", "A2"],
+])
+@pytest.mark.parametrize("flag", [["--params", "2,3"], ["--seed", "3"]])
+def test_symbolic_commands_reject_point_flags(capsys, argv, flag):
+    # these commands read no parameter point and no seed, so a point given to
+    # them would read as checked when it was not
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flag)
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv in ([], ["check"], ["check", "mackey"], ["suite", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
+
+
+def test_help_and_version_still_exit_0(capsys):
+    for argv in (["--help"], ["check", "mackey", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
+def test_point_flags_belong_to_the_point_checks():
+    def commands(parser, path=()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield from commands(child, path + (name,))
+        if path and path != ("check",):
+            yield " ".join(path), {o for a in parser._actions for o in a.option_strings
+                                   if o not in ("-h", "--help")}
+
+    flags = dict(commands(cli.build_parser()))
+    assert sum(len(f) for f in flags.values()) == 54
+    assert {c for c, f in flags.items() if "--params" in f} == {
+        "check mackey", "check corollary", "check thm44", "check thm48"}
+    assert {c for c, f in flags.items() if "--seed" in f} == {
+        "check mackey", "check corollary", "check thm44", "check thm48", "suite"}
+
+
+# stdout sha256 of one command per target and output form: the report bytes
+# are the contract, so a change to the front end must leave them as they are
+PINNED_STDOUT = [
+    ("describe --group A3 --I 1,2 --J 1,2",
+     "120a97fe9b74e55a0e7999a9266e231e2087b034dfd5474af754f7cc0c033b2e"),
+    ("describe --group A3 --I 1,2 --J 1,2 --format json",
+     "465457f3665e8962a8c85880a727d00473d9d5b1e04175946e189fa66fe5a9a1"),
+    ("check mackey --group A3 --I 1,2 --J 1,3 --module random:3 --params 1/2,3/16",
+     "8c02c0503bd63562b73726f1aa2ce88bbae7a3ecc69fa26bad1d3e724016aca4"),
+    ("check corollary --m 2 --n 1 --k 1 --M scalar --N companion --params 1/2,3/16",
+     "d93e97846a7e293670067664871bb6705b154e025c95d5e14990dbf940c17b5e"),
+    ("check thm44 --m 2 --n 1 --params 2,3",
+     "f72ad61547a749adb798e3b687792e5795ce32f255edd55179d25a2bc8274b12"),
+    ("check thm48 --m 1 --n 1 --M scalar:1 --N scalar:0 --params 1,0",
+     "209ce4d6b1e241a920d344d0468ea6b5480fd5bb7272d836eae72992b84831dc"),
+    ("check theta-braid --group I2(6)",
+     "b7391519539f71b7ee13b6a8379f27b51337a967b79ad59de8443c1d3d6ca4c6"),
+    ("check algebra --group A3",
+     "b9a978c1d29c6b9f514292b9d977f8204e002b4304bb2f5fa2cad8874cd6c1e5"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_STDOUT, ids=[c for c, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(capsys, command, digest):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

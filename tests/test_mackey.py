@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_kit import mackey
 from hecke_kit.coxeter import get_system, interleaving_rep_line, symmetric_group_system
 from hecke_kit.linalg import RatMat
 from hecke_kit.mackey import (
@@ -140,6 +141,37 @@ def test_verify_i2_5():
     for I, J in [({0}, {1}), ({0}, {0}), (set(), {0, 1})]:
         inst = build_sides(sys, I, J, regular(sys, I, P10))
         assert verify(inst).passed
+
+
+@pytest.mark.parametrize("params", [P23, P10], ids=str)
+def test_verify_catches_a_broken_left_side(monkeypatch, params):
+    # verify validates only the right side; a left side that breaks must
+    # still fail, through the transfer maps' equivariance
+    real = mackey.restrict
+
+    def faulty(M, I_sub):
+        out = real(M, I_sub)
+        if M.subset == M.system.full_subset:
+            mat = out.gen_action[1].copy()
+            mat.set_entry(0, 0, mat.entry(0, 0) + 1)
+            out.gen_action[1] = mat
+        return out
+
+    monkeypatch.setattr(mackey, "restrict", faulty)
+    sys = get_system("A3")
+    rep = verify(build_sides(sys, {0}, {1, 2}, regular(sys, {0}, params)))
+    failed = [c.name for c in rep.checks if not c.ok]
+    assert failed == ["backward map is equivariant for s2",
+                      "forward map is equivariant for s2"]
+
+
+def test_verify_validates_once(monkeypatch):
+    calls = []
+    real = mackey.validate
+    monkeypatch.setattr(mackey, "validate", lambda M: calls.append(M) or real(M))
+    _, inst = s4_instance(P23)
+    assert verify(inst).passed
+    assert calls == [inst.rhs]
 
 
 def test_instance_guard_wrong_subset():
