@@ -201,7 +201,11 @@ def _check_theta_braid(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print one `error: <message>` line and exit 2."""
+    """Usage errors print one `error: <message>` line and exit 2.  Flags must
+    be spelled in full, in subparsers too (they are built from this class)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

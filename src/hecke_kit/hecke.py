@@ -16,7 +16,8 @@ s of w's reduced word, so the rows fill along reduced-word prefixes.
 
 Also here: the standard (anti-)automorphisms built from the longest element,
 the parameter flip and arrow reversal, conjugation isomorphisms between
-parabolic subalgebras, and the braid-expansion identity check.
+parabolic subalgebras (all generator relabellings, valid by Coxeter orders
+alone), and the braid-expansion identity check.
 """
 
 from __future__ import annotations
@@ -286,52 +287,48 @@ def _basis_row(sys: CoxeterSystem, to: str, w: int) -> dict[int, BiPoly]:
 
 
 class MorphismSpec:
-    """Algebra or anti-algebra morphism data, validated at construction.
+    """A generator relabelling, as an algebra or anti-algebra morphism.
 
-    Generator images must satisfy the quadratic relation and every braid
-    relation of the domain subset; both are checked symbolically, so an
-    invalid spec fails fast.  kind="anti" means products reverse under
-    application.
+    Generator i goes to pi_{relabel[i]}, or to a - pi_{relabel[i]} with flip;
+    kind="anti" reverses products.  Such images obey the quadratic relation,
+    and the braid relation of i, k holds exactly when the order m' of
+    relabel[i]*relabel[k] divides the order m of i*k: then the alternating
+    image words of length m are powers of equal words of length m' (flipped
+    ones too, the flip being an automorphism); else they differ at a = 0,
+    b = 1, the group algebra, by (s*t)^m != 1 (Humphreys, 1990, 7.1).
     """
 
-    __slots__ = ("system", "kind", "name", "domain", "codomain", "images")
+    __slots__ = ("system", "kind", "name", "domain", "codomain", "relabel", "flip", "images")
 
-    def __init__(self, system, kind, images, name="custom", domain=None, codomain=None):
+    def __init__(self, system, kind, relabel, flip=False, name="custom", domain=None,
+                 codomain=None):
         if kind not in ("auto", "anti"):
             raise ValueError(f"unknown morphism kind {kind!r}")
         domain = system.full_subset if domain is None else system.check_subset(domain)
         codomain = system.full_subset if codomain is None else system.check_subset(codomain)
-        if set(images) != set(domain):
-            raise ValueError("images must cover exactly the domain generators")
-        for i, img in images.items():
-            if img.basis != "pi":
-                raise ValueError("generator images must be given in the pi basis")
-            for w in img.support():
-                if not system.in_parabolic(w, codomain):
-                    raise ValueError(f"image of generator {i} leaves the codomain subalgebra")
+        if set(relabel) != set(domain):
+            raise ValueError("relabel must cover exactly the domain generators")
+        for i, j in relabel.items():
+            if j not in codomain:
+                raise ValueError(f"image of generator {i} leaves the codomain subalgebra")
+        orders = system.matrix.orders
+        dom = sorted(domain)
+        for x, i in enumerate(dom):
+            for k in dom[x + 1:]:
+                if orders[i][k] % orders[relabel[i]][relabel[k]]:
+                    raise ValueError(f"images of generators {i}, {k} violate the braid relation")
         self.system = system
         self.kind = kind
         self.name = name
         self.domain = domain
         self.codomain = codomain
-        self.images = dict(images)
-        self._validate()
-
-    def _validate(self):
-        sys = self.system
-        unit = HeckeElement.unit(sys)
-        for i, img in self.images.items():
-            if img * img != img.scale(A) + unit.scale(B):
-                raise ValueError(f"image of generator {i} violates the quadratic relation")
-        dom = sorted(self.domain)
-        for x in range(len(dom)):
-            for y in range(x + 1, len(dom)):
-                i, j = dom[x], dom[y]
-                m = sys.matrix.orders[i][j]
-                if _alternating(self.images[i], self.images[j], m) != _alternating(
-                    self.images[j], self.images[i], m
-                ):
-                    raise ValueError(f"images of generators {i}, {j} violate the braid relation")
+        self.relabel = dict(relabel)
+        self.flip = flip
+        images = {i: HeckeElement.gen(system, j) for i, j in self.relabel.items()}
+        if flip:
+            a_unit = HeckeElement.unit(system).scale(A)
+            images = {i: a_unit - g for i, g in images.items()}
+        self.images = images
 
     def __call__(self, x: HeckeElement) -> HeckeElement:
         return apply_morphism(self, x)
@@ -339,9 +336,8 @@ class MorphismSpec:
     def restricted(self, domain, codomain) -> "MorphismSpec":
         """The same morphism on the generators of domain, its images read in
         the parabolic subalgebra of codomain."""
-        return MorphismSpec(self.system, self.kind,
-                            {j: self.images[j] for j in domain},
-                            name=f"{self.name}-restricted",
+        return MorphismSpec(self.system, self.kind, {j: self.relabel[j] for j in domain},
+                            self.flip, name=f"{self.name}-restricted",
                             domain=domain, codomain=codomain)
 
     def __repr__(self):
@@ -385,50 +381,42 @@ def apply_morphism(spec: MorphismSpec, x: HeckeElement) -> HeckeElement:
 # -- the standard morphisms -----------------------------------------------
 
 
-def _longest_conj_gen(system, i):
-    w0 = system.longest()
-    return system.gens.index(system.conjugate(w0, system.gens[i]))
+def _relabel(system, through_w0: bool) -> dict[int, int]:
+    """Each generator to itself, or to its conjugate by the longest element."""
+    w0 = system.longest() if through_w0 else 0
+    return {i: system.gens.index(system.conjugate(w0, g)) for i, g in enumerate(system.gens)}
 
 
 def phi(system) -> MorphismSpec:
     """Automorphism relabelling generators through the longest element."""
-    images = {i: HeckeElement.gen(system, _longest_conj_gen(system, i)) for i in range(system.rank)}
-    return MorphismSpec(system, "auto", images, name="phi")
+    return MorphismSpec(system, "auto", _relabel(system, True), name="phi")
 
 
 def theta(system) -> MorphismSpec:
     """Automorphism sending each generator to a minus itself."""
-    a_unit = HeckeElement.unit(system).scale(A)
-    images = {i: a_unit - HeckeElement.gen(system, i) for i in range(system.rank)}
-    return MorphismSpec(system, "auto", images, name="theta")
+    return MorphismSpec(system, "auto", _relabel(system, False), flip=True, name="theta")
 
 
 def chi(system) -> MorphismSpec:
     """Anti-automorphism fixing the generators; reverses basis words."""
-    images = {i: HeckeElement.gen(system, i) for i in range(system.rank)}
-    return MorphismSpec(system, "anti", images, name="chi")
+    return MorphismSpec(system, "anti", _relabel(system, False), name="chi")
 
 
 def omega(system) -> MorphismSpec:
     """The composite of the relabelling and flip automorphisms."""
-    a_unit = HeckeElement.unit(system).scale(A)
-    images = {
-        i: a_unit - HeckeElement.gen(system, _longest_conj_gen(system, i))
-        for i in range(system.rank)
-    }
-    return MorphismSpec(system, "auto", images, name="omega")
+    return MorphismSpec(system, "auto", _relabel(system, True), flip=True, name="omega")
 
 
 def phi_hat(system) -> MorphismSpec:
-    return MorphismSpec(system, "anti", phi(system).images, name="phi_hat")
+    return MorphismSpec(system, "anti", _relabel(system, True), name="phi_hat")
 
 
 def theta_hat(system) -> MorphismSpec:
-    return MorphismSpec(system, "anti", theta(system).images, name="theta_hat")
+    return MorphismSpec(system, "anti", _relabel(system, False), flip=True, name="theta_hat")
 
 
 def omega_hat(system) -> MorphismSpec:
-    return MorphismSpec(system, "anti", omega(system).images, name="omega_hat")
+    return MorphismSpec(system, "anti", _relabel(system, True), flip=True, name="omega_hat")
 
 
 def c_w_morphism(system, w: int, J, I) -> MorphismSpec:
@@ -438,8 +426,7 @@ def c_w_morphism(system, w: int, J, I) -> MorphismSpec:
     each cross-section generator j to that of w^{-1} j w inside I.
     """
     K, K_conj, pairing = system.cross_section(w, J, I)
-    images = {j: HeckeElement.gen(system, i) for j, i in pairing.items()}
-    return MorphismSpec(system, "auto", images, name="c_w", domain=K, codomain=K_conj)
+    return MorphismSpec(system, "auto", pairing, name="c_w", domain=K, codomain=K_conj)
 
 
 # -- symbolic identity checks ---------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coxeter import CoxeterSystem, is_type_a, symmetric_group_system
-from .hecke import HeckeElement, MorphismSpec, SupportOutsideDomain
+from .hecke import MorphismSpec, SupportOutsideDomain
 from .linalg import RatMat, _q, intertwiner_rows, kernel_basis
 from .scalars import ParamSpec
 
@@ -45,7 +45,6 @@ __all__ = [
     "validate",
     "act_word",
     "act_letters",
-    "act_elem",
     "restrict",
     "induce",
     "lift_induced",
@@ -245,17 +244,6 @@ def act_word(M: HeckeModule, y: int) -> RatMat:
     return act_letters(M, M.system.reduced_word(y))
 
 
-def act_elem(M: HeckeModule, x: HeckeElement) -> RatMat:
-    """Action matrix of a symbolic algebra element, specialized at M.params."""
-    if x.basis != "pi":
-        x = x.change_basis("pi")
-    out = RatMat.zeros(M.dim, M.dim)
-    for w, c in x.specialize_coeffs(M.params).items():
-        if c:
-            out = out + act_word(M, w).scale(c)
-    return out
-
-
 # -- functors --------------------------------------------------------------
 
 
@@ -417,9 +405,8 @@ def boxtimes(M: HeckeModule, N: HeckeModule) -> HeckeModule:
 def twist_along(spec: MorphismSpec, M: HeckeModule) -> HeckeModule:
     """Precompose the action with a morphism; anti morphisms act on the dual.
 
-    The result is a module over the spec's domain subset: each domain
-    generator acts by the (specialized) image, transposed when the morphism
-    reverses products.
+    Over the spec's domain, generator i acts by M's matrix for relabel[i], or
+    by a0*I minus it when the spec flips, transposed for an anti morphism.
     """
     sys = M.system
     if sys is not spec.system and sys.matrix != spec.system.matrix:
@@ -429,9 +416,10 @@ def twist_along(spec: MorphismSpec, M: HeckeModule) -> HeckeModule:
             f"morphism images need generators {sorted(spec.codomain)}, "
             f"module only has {sorted(M.subset)}"
         )
+    shift = RatMat.identity(M.dim).scale(M.params.a0) if spec.flip else None
     acts = {}
-    for i in spec.domain:
-        mat = act_elem(M, spec.images[i])
+    for i, j in spec.relabel.items():
+        mat = shift - M.gen_action[j] if spec.flip else M.gen_action[j]
         acts[i] = mat.transpose() if spec.kind == "anti" else mat
     return HeckeModule(sys, spec.domain, M.params, M.dim, acts)
 

@@ -17,6 +17,10 @@ presented on the alternate (shifted) induced basis; the pairing is a
 permutation of dual lines, and its equivariance is checked both as a global
 matrix identity and branch by branch through the one-line case analysis.
 
+Every morphism is a generator relabelling, maybe composed with the flip, so
+its images are affine in a single generator; transport and the twisted
+restrictions read the relabelling for the parabolic they land on.
+
 Transport works over any finite Coxeter system; the pairing machinery is
 specific to symmetric groups, where the transversal has one-line form and
 the dual-line involution reverses and complements the letter blocks.
@@ -79,14 +83,6 @@ def kron_swap(dm: int, dn: int) -> RatMat:
     return out
 
 
-def _image_gen_index(spec: MorphismSpec, j: int) -> int:
-    """The generator a morphism relabels j to; images must be affine in one."""
-    words = [w for w in spec.images[j].coeffs if w != 0]
-    if len(words) != 1 or words[0] not in spec.system.gens:
-        raise ValueError("morphism image is not supported on a single generator")
-    return spec.system.gens.index(words[0])
-
-
 def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap:
     """Explicit isomorphism from the induction of the twisted source onto the
     twist of the induced module: x tensor k maps to alpha(x) tensor k.
@@ -94,9 +90,9 @@ def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap
     big is a module induced to the full algebra; its source K is read from
     big.induced, and the map runs from the induction of K's twist (along the
     automorphism restricted to the parabolic it relabels) onto the twist of
-    big.  Works for any finite Coxeter system and any automorphism whose
-    generator images are affine in a single generator.  The map is
-    invertible because images lead with a term of full length.
+    big.  Works for any finite Coxeter system and any automorphism, as every
+    spec's images are affine in a single generator; they lead with a term of
+    full length, so the map is invertible.
     """
     if spec.kind != "auto":
         raise ValueError("transport needs an automorphism")
@@ -105,8 +101,7 @@ def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap
     if big.induced is None or big.subset != S:
         raise ValueError("transport needs a module induced to the full algebra")
     K = big.induced.source
-    sigma = {j: _image_gen_index(spec, j) for j in S}
-    Istar = frozenset(j for j in S if sigma[j] in K.subset)
+    Istar = frozenset(j for j in S if spec.relabel[j] in K.subset)
     rhs = induce(twist_along(spec.restricted(Istar, K.subset), K), S)
     return _lift_twist(spec, big, rhs, RatMat.identity(K.dim))
 
@@ -160,17 +155,13 @@ def thm44_part3_map(M: HeckeModule, N: HeckeModule) -> ModuleMap:
     return _product_twist_map(omega, boxtimes(M, N), M, N, reverse=True)
 
 
-def _restriction_pair(builder, L: HeckeModule, m: int, n: int, flip: bool):
-    """Twisted restriction vs restricted twist; returns both modules.
-
-    With flip=True the inner restriction uses the reversed split, matching
-    what the relabelling automorphism does to the two-block parabolic.
-    """
-    sys = L.system
-    sub_mn = sys.full_subset - {m - 1}
-    sub_nm = sys.full_subset - {n - 1}
-    inner = sub_nm if flip else sub_mn
-    spec = builder(sys)
+def _restriction_pair(builder, L: HeckeModule, m: int):
+    """Twisted restriction vs restricted twist; returns both modules.  The
+    inner restriction is to the relabelled image of the two-block parabolic
+    (the reversed split under the relabelling automorphism)."""
+    sub_mn = L.system.full_subset - {m - 1}
+    spec = builder(L.system)
+    inner = frozenset(spec.relabel[j] for j in sub_mn)
     lhs = twist_along(spec.restricted(sub_mn, inner), restrict(L, inner))
     rhs = restrict(twist_along(spec, L), sub_mn)
     return lhs, rhs
@@ -224,11 +215,11 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
         rep.add(f"{tag}: transport map is invertible", fmap.matrix.is_invertible())
         _cross_check(rep, tag, fmap.source, fmap.target, cross_check, seed)
 
-    rest = [("part 4 (relabel of a restriction)", phi, True),
-            ("part 5 (flip of a restriction)", theta, False),
-            ("part 6 (dual of a restriction)", chi, False)]
-    for tag, builder, flip in rest:
-        lhs, rhs = _restriction_pair(builder, L, m, n, flip)
+    rest = [("part 4 (relabel of a restriction)", phi),
+            ("part 5 (flip of a restriction)", theta),
+            ("part 6 (dual of a restriction)", chi)]
+    for tag, builder in rest:
+        lhs, rhs = _restriction_pair(builder, L, m)
         worst = Fraction(0)
         for j in sorted(lhs.subset):
             worst = max(worst, (lhs.gen_action[j] - rhs.gen_action[j]).max_abs())

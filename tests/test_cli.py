@@ -337,6 +337,23 @@ def test_symbolic_commands_reject_point_flags(capsys, argv, flag):
     assert cap.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "mackey", "--group", "A2", "--I", "1", "--J", "2", "--m", "random",
+     "--par", "2,3"],
+    ["check", "thm44", "--m", "1", "--n", "1", "--para", "2,3"],
+    ["describe", "--group", "A3", "--group-c", "100"],
+])
+def test_flag_prefixes_are_rejected(capsys, argv):
+    # a prefix is never read as a flag, so one command's flag cannot be
+    # silently taken for another's
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: unrecognized arguments: ")
+
+
 def test_usage_errors_are_one_line(capsys):
     for argv in ([], ["check"], ["check", "mackey"], ["suite", "--seed", "x"]):
         with pytest.raises(SystemExit) as exc:

@@ -245,12 +245,56 @@ def test_basis_mismatch():
     assert G(S3, 0) != G(S3, 0, "opi")
 
 
-def test_morphism_validation_rejects_bad_images():
-    with pytest.raises(ValueError, match="quadratic"):
-        MorphismSpec(S3, "auto", {0: G(S3, 0).scale(2), 1: G(S3, 1)})
-    # a - pi_{s2} alone is fine but breaks the braid relation against pi_{s1}
+def symbolic_relations_hold(sys, relabel, flip):
+    """The reference for MorphismSpec's validity rule: build each generator
+    image as an element and check the quadratic relation on it and the braid
+    relation on each pair by Hecke products."""
+    a_unit = unit(sys).scale(A)
+    images = {i: a_unit - G(sys, j) if flip else G(sys, j) for i, j in relabel.items()}
+    if any(g * g != g.scale(A) + unit(sys).scale(B) for g in images.values()):
+        return False
+    dom = sorted(images)
+    for x, i in enumerate(dom):
+        for k in dom[x + 1:]:
+            m = sys.matrix.orders[i][k]
+            if hecke._alternating(images[i], images[k], m) != hecke._alternating(
+                    images[k], images[i], m):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "H3", "D4", "F4",
+                                  "I2(4)", "I2(5)", "I2(6)", "I2(7)"])
+def test_validity_rule_matches_the_symbolic_relations(name):
+    # every map of the generators to generators, with and without the flip
+    sys = get_system(name)
+    verdicts = set()
+    for targets in itertools.product(range(sys.rank), repeat=sys.rank):
+        relabel = dict(enumerate(targets))
+        for flip in (False, True):
+            try:
+                MorphismSpec(sys, "auto", relabel, flip)
+                accepted = True
+            except ValueError as err:
+                assert "braid" in str(err)
+                accepted = False
+            assert accepted == symbolic_relations_hold(sys, relabel, flip), (relabel, flip)
+            verdicts.add(accepted)
+    # in rank two a relabelling keeps the order or collapses both generators
+    assert verdicts == ({True, False} if sys.rank > 2 else {True})
+
+
+def test_morphism_validation_rejects_bad_relabellings():
+    # B3's pair s1, s2 has order 3; sending it onto s2, s3 (order 4) breaks
+    # the braid relation
     with pytest.raises(ValueError, match="braid"):
-        MorphismSpec(S3, "auto", {0: G(S3, 0), 1: unit(S3).scale(A) - G(S3, 1)})
+        MorphismSpec(B3, "auto", {0: 1, 1: 2, 2: 0})
+    with pytest.raises(ValueError, match="leaves the codomain"):
+        MorphismSpec(S4, "auto", {0: 2}, domain={0}, codomain={0, 1})
+    with pytest.raises(ValueError, match="cover exactly the domain"):
+        MorphismSpec(S3, "auto", {0: 1})
+    with pytest.raises(ValueError, match="unknown morphism kind"):
+        MorphismSpec(S3, "both", {0: 0, 1: 1})
 
 
 def test_standard_morphisms_are_involutions():

@@ -5,7 +5,17 @@ from fractions import Fraction
 import pytest
 
 from hecke_kit.coxeter import GroupTooLarge, get_system, symmetric_group_system
-from hecke_kit.hecke import SupportOutsideDomain, chi, omega, phi, phi_hat, theta
+from hecke_kit.hecke import (
+    SupportOutsideDomain,
+    c_w_morphism,
+    chi,
+    omega,
+    omega_hat,
+    phi,
+    phi_hat,
+    theta,
+    theta_hat,
+)
 from hecke_kit import repmod
 from hecke_kit.linalg import RatMat, _q, kernel_basis
 from hecke_kit.mackey import verify_tensor_decomposition
@@ -331,6 +341,33 @@ def test_twist_twice_returns_equal_matrices():
     for spec in (phi(S3), theta(S3), omega(S3), chi(S3)):
         twice = twist_along(spec, twist_along(spec, M))
         assert twice.gen_action == M.gen_action
+
+
+def act_elem(M, x):
+    """Action matrix of a symbolic algebra element at M's point: the
+    reference route for twisting, through the morphism's images."""
+    if x.basis != "pi":
+        x = x.change_basis("pi")
+    out = RatMat.zeros(M.dim, M.dim)
+    for w, c in x.specialize_coeffs(M.params).items():
+        if c:
+            out = out + act_word(M, w).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("params", [P23, P00, ParamSpec.parse("1/2,3/16")], ids=str)
+def test_twist_matches_the_symbolic_images(params):
+    specs = [build(S4) for build in (phi, theta, chi, omega, phi_hat, theta_hat, omega_hat)]
+    specs += [c_w_morphism(S4, tau, J, I) for J in subsets(3) for I in subsets(3)
+              for tau in S4.double_coset_reps(J, I)]
+    reg = regular(S4, S4.full_subset, params)
+    for M in (reg, companion(S4, S4.full_subset, params), random_conjugate(reg, seed=19)):
+        for spec in specs:
+            tw = twist_along(spec, M)
+            assert tw.subset == spec.domain
+            for i in spec.domain:
+                want = act_elem(M, spec.images[i])
+                assert tw.gen_action[i] == (want.transpose() if spec.kind == "anti" else want)
 
 
 def test_twist_domain_guard():
