@@ -16,8 +16,8 @@ s of w's reduced word, so the rows fill along reduced-word prefixes.
 
 Also here: the standard (anti-)automorphisms built from the longest element,
 the parameter flip and arrow reversal, conjugation isomorphisms between
-parabolic subalgebras (all generator relabellings, valid by Coxeter orders
-alone), and the braid-expansion identity check.
+parabolic subalgebras (generator relabellings, valid by Coxeter orders alone,
+that relabel the basis words of elements), and the braid-expansion check.
 """
 
 from __future__ import annotations
@@ -116,18 +116,8 @@ class HeckeElement:
         if self.basis != other.basis:
             raise BasisMismatch(f"cannot mix bases {self.basis!r} and {other.basis!r}")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self):
         return frozenset(self.coeffs)
-
-    def coeff(self, w: int) -> BiPoly:
-        return self.coeffs.get(w, BiPoly.zero())
-
-    def specialize_coeffs(self, params) -> dict:
-        """Coefficients as Fractions at a fixed parameter point."""
-        return {w: c.specialize(params) for w, c in self.coeffs.items()}
 
     # -- linear structure --------------------------------------------------
 
@@ -193,8 +183,8 @@ class HeckeElement:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, BiPoly)):
-            return self.scale(other)
+        if not isinstance(other, HeckeElement):
+            return self.__rmul__(other)
         self._require_compatible(other)
         sys = self.system
         acc: dict[int, BiPoly] = {}
@@ -252,10 +242,9 @@ def _basis_row(sys: CoxeterSystem, to: str, w: int) -> dict[int, BiPoly]:
     old_s = new_s + shift (pi_s = opi_s + a, opi_s = pi_s - a), so the row
     is (new_s + shift) times the row of s*w.  Where s*v is shorter than v
     the descent rule's a-term (the negated shift) cancels the shift, leaving
-    b at s*v.  Rows
-    live on the system, one dict per target basis beside a pool that keeps
-    each distinct coefficient once (a table holds few distinct polynomials);
-    rows are never mutated.
+    b at s*v.  Rows live on the system, one dict per target basis beside a
+    pool that keeps each distinct coefficient once (a table holds few
+    distinct polynomials); rows are never mutated.
     """
     table = sys.basis_change_rows.get(to)
     if table is None:
@@ -290,15 +279,16 @@ class MorphismSpec:
     """A generator relabelling, as an algebra or anti-algebra morphism.
 
     Generator i goes to pi_{relabel[i]}, or to a - pi_{relabel[i]} with flip;
-    kind="anti" reverses products.  Such images obey the quadratic relation,
+    kind="anti" reverses products.  The images obey the quadratic relation,
     and the braid relation of i, k holds exactly when the order m' of
     relabel[i]*relabel[k] divides the order m of i*k: then the alternating
     image words of length m are powers of equal words of length m' (flipped
     ones too, the flip being an automorphism); else they differ at a = 0,
-    b = 1, the group algebra, by (s*t)^m != 1 (Humphreys, 1990, 7.1).
+    b = 1, the group algebra, by (s*t)^m != 1 (Humphreys, 1990, 7.1).  The
+    spec keeps only the relabelling, which `apply_morphism` reads.
     """
 
-    __slots__ = ("system", "kind", "name", "domain", "codomain", "relabel", "flip", "images")
+    __slots__ = ("system", "kind", "name", "domain", "codomain", "relabel", "flip")
 
     def __init__(self, system, kind, relabel, flip=False, name="custom", domain=None,
                  codomain=None):
@@ -324,11 +314,6 @@ class MorphismSpec:
         self.codomain = codomain
         self.relabel = dict(relabel)
         self.flip = flip
-        images = {i: HeckeElement.gen(system, j) for i, j in self.relabel.items()}
-        if flip:
-            a_unit = HeckeElement.unit(system).scale(A)
-            images = {i: a_unit - g for i, g in images.items()}
-        self.images = images
 
     def __call__(self, x: HeckeElement) -> HeckeElement:
         return apply_morphism(self, x)
@@ -352,30 +337,44 @@ def _alternating(first: HeckeElement, second: HeckeElement, n: int) -> HeckeElem
 
 
 def apply_morphism(spec: MorphismSpec, x: HeckeElement) -> HeckeElement:
-    """Image of x; anti morphisms reverse each basis word's letter order."""
-    orig = x.basis
-    if orig != "pi":
-        x = x.change_basis("pi")
+    """Image of x, read from the relabelling r = spec.relabel.
+
+    pi_s -> pi_r(s), opi_s -> opi_r(s); with flip, pi_s -> a - pi_r(s) =
+    -opi_r(s) and opi_s -> -pi_r(s).  So T_w goes to its relabelled letters
+    (reversed for anti) folded by `_gen_left` as `__mul__` folds a word, in
+    x's basis, or in the other with sign (-1)^l(w) under flip.  Exact for
+    every accepted spec, merging ones too: the spec is a morphism, so any
+    reduced word gives T_w's image, and `verify_algebra` proves the left rule
+    associative in both bases and basis change an algebra isomorphism.
+
+    >>> from hecke_kit.coxeter import get_system
+    >>> A2 = get_system("A2")
+    >>> s1, s2 = HeckeElement.gen(A2, 0), HeckeElement.gen(A2, 1)
+    >>> apply_morphism(phi(A2), s1) == s2 and apply_morphism(phi(A2), s2) == s1
+    True
+    >>> print(apply_morphism(theta(A2), s1))
+    (-1)*pi[s1] + (a)*pi[e]
+    """
     sys = x.system
     if sys is not spec.system and sys.matrix != spec.system.matrix:
         raise ValueError("element and morphism belong to different systems")
-    full = len(spec.domain) == sys.rank
+    basis = {"pi": "opi", "opi": "pi"}[x.basis] if spec.flip else x.basis
+    rule = HeckeElement.zero(sys, basis)
     acc: dict[int, BiPoly] = {}
     for w, c in x.coeffs.items():
-        if not full and not sys.in_parabolic(w, spec.domain):
+        word = sys.reduced_word(w)
+        if not spec.domain.issuperset(word):
             raise SupportOutsideDomain(
                 f"element support touches {sys.elem_name(w)}, outside the domain subalgebra"
             )
-        word = sys.reduced_word(w)
-        if spec.kind == "anti":
+        if spec.kind == "auto":
             word = word[::-1]
-        img = HeckeElement.unit(sys)
+        cur = {0: -c if spec.flip and len(word) % 2 else c}
         for s in word:
-            img = img * spec.images[s]
-        for v, d in img.coeffs.items():
-            _add_term(acc, v, c * d)
-    out = HeckeElement(sys, acc, "pi")
-    return out.change_basis(orig) if orig != "pi" else out
+            cur = rule._gen_left(spec.relabel[s], cur)
+        for v, d in cur.items():
+            _add_term(acc, v, d)
+    return HeckeElement(sys, acc, basis).change_basis(x.basis)
 
 
 # -- the standard morphisms -----------------------------------------------

@@ -92,9 +92,9 @@ class MackeyInstance:
 
 def build_sides(sys: CoxeterSystem, I, J, M: HeckeModule) -> MackeyInstance:
     """Induce M to the full algebra and decompose its restriction to H_J."""
-    I = sys.check_subset(I)
-    sys.check_subset(J)
-    if M.subset != I:
+    if M.system is not sys and M.system.matrix != sys.matrix:
+        raise ValueError("module belongs to a different Coxeter system")
+    if M.subset != sys.check_subset(I):
         raise ValueError("module must live over the subset I")
     return split_induced(induce(M, sys.full_subset), J)
 
@@ -112,11 +112,9 @@ def split_induced(big: HeckeModule, J) -> MackeyInstance:
     blocks = []
     offset = 0
     for tau in sys.double_coset_reps(J, I):
-        K, K_conj, pairing = sys.cross_section(tau, J, I)
         spec = c_w_morphism(sys, tau, J, I)
-        twisted = twist_along(spec, restrict(M, K_conj))
-        mod = induce(twisted, J)
-        blocks.append(TauBlock(tau, K, K_conj, pairing, mod, offset))
+        mod = induce(twist_along(spec, restrict(M, spec.codomain)), J)
+        blocks.append(TauBlock(tau, spec.domain, spec.codomain, spec.relabel, mod, offset))
         offset += mod.dim
     rhs = direct_sum([b.module for b in blocks])
     return MackeyInstance(sys, I, J, M, big, lhs, blocks, rhs)

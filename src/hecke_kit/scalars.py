@@ -41,6 +41,8 @@ class BiPoly:
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
+            if not isinstance(c, int):
+                raise TypeError(f"coefficients of Z[a, b] are ints, not {type(c).__name__}")
             c = acc.get((i, j), 0) + c
             if c:
                 acc[(i, j)] = c
@@ -70,7 +72,7 @@ class BiPoly:
 
     @classmethod
     def const(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): int(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def var_a(cls) -> "BiPoly":

@@ -90,9 +90,9 @@ def transport_induction_twist(spec: MorphismSpec, big: HeckeModule) -> ModuleMap
     big is a module induced to the full algebra; its source K is read from
     big.induced, and the map runs from the induction of K's twist (along the
     automorphism restricted to the parabolic it relabels) onto the twist of
-    big.  Works for any finite Coxeter system and any automorphism, as every
-    spec's images are affine in a single generator; they lead with a term of
-    full length, so the map is invertible.
+    big.  Works for any finite Coxeter system and any automorphism: its
+    relabelling sends each generator to pi_j or a - pi_j, so the image of a
+    basis word leads with a term of full length and the map is invertible.
     """
     if spec.kind != "auto":
         raise ValueError("transport needs an automorphism")

@@ -17,5 +17,5 @@ def test_docstring_examples_pass():
         failed += result.failed
         attempted += result.attempted
     assert failed == 0
-    # the four examples of hecke_kit.scalars at least
-    assert attempted >= 4
+    # the four examples of hecke_kit.scalars and the five of hecke_kit.hecke
+    assert attempted >= 9

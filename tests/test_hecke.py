@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,11 +38,12 @@ def unit(sys, basis="pi"):
     return HeckeElement.unit(sys, basis)
 
 
-def rand_elem(rng, sys, basis="pi", max_terms=3):
+def rand_elem(rng, sys, basis="pi", max_terms=3, support=None):
     pool = [BiPoly.const(1), BiPoly.const(-2), BiPoly.const(3), A, B, A * B, A + B]
+    support = range(sys.size) if support is None else support
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
-        w = rng.randrange(sys.size)
+        w = rng.choice(support)
         coeffs[w] = coeffs.get(w, BiPoly.zero()) + rng.choice(pool)
     return HeckeElement(sys, coeffs, basis)
 
@@ -245,12 +247,17 @@ def test_basis_mismatch():
     assert G(S3, 0) != G(S3, 0, "opi")
 
 
+def generator_images(sys, relabel, flip):
+    """Each generator's image as an element: pi_j, or a - pi_j with flip."""
+    a_unit = unit(sys).scale(A)
+    return {i: a_unit - G(sys, j) if flip else G(sys, j) for i, j in relabel.items()}
+
+
 def symbolic_relations_hold(sys, relabel, flip):
     """The reference for MorphismSpec's validity rule: build each generator
     image as an element and check the quadratic relation on it and the braid
     relation on each pair by Hecke products."""
-    a_unit = unit(sys).scale(A)
-    images = {i: a_unit - G(sys, j) if flip else G(sys, j) for i, j in relabel.items()}
+    images = generator_images(sys, relabel, flip)
     if any(g * g != g.scale(A) + unit(sys).scale(B) for g in images.values()):
         return False
     dom = sorted(images)
@@ -295,6 +302,78 @@ def test_morphism_validation_rejects_bad_relabellings():
         MorphismSpec(S3, "auto", {0: 1})
     with pytest.raises(ValueError, match="unknown morphism kind"):
         MorphismSpec(S3, "both", {0: 0, 1: 1})
+
+
+def product_of_images(spec, x):
+    """The reference for apply_morphism: x in the pi basis, each basis word
+    multiplied out through the generator images, in reverse order for anti."""
+    sys = spec.system
+    images = generator_images(sys, spec.relabel, spec.flip)
+    out = HeckeElement.zero(sys)
+    for w, c in x.change_basis("pi").coeffs.items():
+        word = sys.reduced_word(w)
+        img = unit(sys)
+        for s in (word[::-1] if spec.kind == "anti" else word):
+            img = img * images[s]
+        out = out + img.scale(c)
+    return out.change_basis(x.basis)
+
+
+def assert_matches_the_product_of_images(rng, spec, samples):
+    support = spec.system.parabolic_elements(spec.domain)
+    for basis in ("pi", "opi"):
+        for _ in range(samples):
+            x = rand_elem(rng, spec.system, basis, support=support)
+            assert apply_morphism(spec, x) == product_of_images(spec, x), (spec, spec.relabel, x)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "I2(6)"])
+def test_relabelling_matches_the_product_of_images(name):
+    # every accepted relabelling, with and without flip, auto and anti
+    sys = get_system(name)
+    rng = random.Random(36)
+    specs = []
+    for targets in itertools.product(range(sys.rank), repeat=sys.rank):
+        for flip in (False, True):
+            for kind in ("auto", "anti"):
+                try:
+                    specs.append(MorphismSpec(sys, kind, dict(enumerate(targets)), flip))
+                except ValueError:
+                    pass
+    assert {(s.kind, s.flip) for s in specs} == set(itertools.product(("auto", "anti"), (False, True)))
+    for spec in specs:
+        assert_matches_the_product_of_images(rng, spec, 2)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_c_w_matches_the_product_of_images(name):
+    sys = get_system(name)
+    rng = random.Random(37)
+    subsets = [frozenset(s) for r in range(sys.rank + 1)
+               for s in itertools.combinations(range(sys.rank), r)]
+    for J in subsets:
+        for I in subsets:
+            for tau in sys.double_coset_reps(J, I):
+                assert_matches_the_product_of_images(rng, c_w_morphism(sys, tau, J, I), 2)
+
+
+def test_relabelling_needs_no_hecke_products(monkeypatch):
+    sys = get_system("H3")
+    subsets = [frozenset(s) for r in range(4) for s in itertools.combinations(range(3), r)]
+    c_ws = [c_w_morphism(sys, tau, J, I) for J in subsets for I in subsets
+            for tau in sys.double_coset_reps(J, I)]
+
+    def no_products(self, other):
+        raise AssertionError("apply_morphism multiplied Hecke elements")
+
+    monkeypatch.setattr(HeckeElement, "__mul__", no_products)
+    for spec in [phi(sys), chi(sys), phi_hat(sys)] + c_ws:
+        for w in sys.parabolic_elements(spec.domain):
+            img = apply_morphism(spec, E(sys, w))
+            assert len(img.coeffs) == 1 and set(img.coeffs.values()) == {BiPoly.one()}
+    for spec in (theta(sys), omega(sys), theta_hat(sys), omega_hat(sys)):
+        for w in range(sys.size):
+            apply_morphism(spec, E(sys, w, "opi"))
 
 
 def test_standard_morphisms_are_involutions():
@@ -423,12 +502,18 @@ def test_theta_braid_commuting_pair_frozen():
     assert lhs == expected
 
 
-def test_coefficient_specialization():
-    x = HeckeElement(S3, {0: A * A + B, S3.gens[0]: -B})
-    from hecke_kit.scalars import ParamSpec
-
-    vals = x.specialize_coeffs(ParamSpec.parse("2,3"))
-    assert vals == {0: 7, S3.gens[0]: -3}
+def test_non_integer_coefficients_are_rejected():
+    # coefficients lie in Z[a, b]; a Fraction or float is not truncated
+    with pytest.raises(TypeError):
+        unit(S3).scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        HeckeElement(S3, {0: 2.7})
+    with pytest.raises(TypeError):
+        G(S3, 0) * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        BiPoly.const(Fraction(2))
 
 
 def test_scalar_multiplication_operators():

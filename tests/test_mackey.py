@@ -181,6 +181,13 @@ def test_instance_guard_wrong_subset():
         build_sides(sys, {0, 1}, {0}, M)
 
 
+def test_instance_guard_wrong_system():
+    # the Coxeter matrix decides; a module over A3 cannot be split in B3
+    M = regular(get_system("A3"), {0, 1}, P23)
+    with pytest.raises(ValueError, match="different Coxeter system"):
+        build_sides(get_system("B3"), {0, 1}, {0, 2}, M)
+
+
 def test_split_induced_matches_build_sides():
     sys = get_system("A3")
     M = regular(sys, {0, 1}, P23)
