@@ -17,7 +17,6 @@ from hecke_kit.hecke import (
     theta_hat,
 )
 from hecke_kit import repmod
-from test_hecke import generator_images
 from hecke_kit.linalg import RatMat, _q, kernel_basis
 from hecke_kit.mackey import verify_tensor_decomposition
 from hecke_kit.repmod import (
@@ -50,6 +49,7 @@ from hecke_kit.repmod import (
 )
 from hecke_kit.scalars import ParamSpec
 from hecke_kit.twists import build_pairing, verify_thm44, verify_thm48
+from test_hecke import generator_images
 
 S1 = symmetric_group_system(1)
 S2 = get_system("A1")
