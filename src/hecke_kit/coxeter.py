@@ -309,6 +309,10 @@ class CoxeterSystem:
 
     # -- basics ------------------------------------------------------------
 
+    def same_group(self, other: "CoxeterSystem") -> bool:
+        """Whether other is this system or has the same Coxeter matrix."""
+        return self is other or self.matrix == other.matrix
+
     def asc_right(self, w: int) -> frozenset:
         return self._asc_right[w]
 

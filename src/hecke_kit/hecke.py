@@ -111,7 +111,7 @@ class HeckeElement:
     # -- helpers -----------------------------------------------------------
 
     def _require_compatible(self, other: "HeckeElement"):
-        if self.system is not other.system and self.system.matrix != other.system.matrix:
+        if not self.system.same_group(other.system):
             raise ValueError("elements belong to different Coxeter systems")
         if self.basis != other.basis:
             raise BasisMismatch(f"cannot mix bases {self.basis!r} and {other.basis!r}")
@@ -143,7 +143,7 @@ class HeckeElement:
             return NotImplemented
         if self.basis != other.basis:
             return False
-        if self.system is not other.system and self.system.matrix != other.system.matrix:
+        if not self.system.same_group(other.system):
             return False
         return self.coeffs == other.coeffs
 
@@ -356,7 +356,7 @@ def apply_morphism(spec: MorphismSpec, x: HeckeElement) -> HeckeElement:
     (-1)*pi[s1] + (a)*pi[e]
     """
     sys = x.system
-    if sys is not spec.system and sys.matrix != spec.system.matrix:
+    if not sys.same_group(spec.system):
         raise ValueError("element and morphism belong to different systems")
     basis = {"pi": "opi", "opi": "pi"}[x.basis] if spec.flip else x.basis
     rule = HeckeElement.zero(sys, basis)

@@ -9,9 +9,12 @@ arithmetic stays in int operations, which are far cheaper than Fraction ones.
 At a rational point the exact identity checks clear denominators at check
 time instead: `RatMat.cleared` scales a matrix by the lcm of its entry
 denominators, the check multiplies its identity through by the positive
-integer that clears it, and every product runs on integers.  Storage keeps
-the true values, because `cols` is also the matrix as callers read it, and
-every other routine (kernels, inverses, hom bases) works on true values.
+integer that clears it, and every product runs on integers.  `_cleared_gap`
+is the one exact comparison that decides such a check: it gives the largest
+entry of a cleared relation over Q, and `RatMat.gap` is its two-matrix entry
+point, the residual of A = B.  Storage keeps the true values, because
+`cols` is also the matrix as callers read it, and every other routine
+(kernels, inverses, hom bases) works on true values.
 `kernel_basis` is the one elimination over Q: `RatMat.inverse` reads the
 inverse off a kernel.  `RatMat.det_mod` is the one modular elimination:
 invertibility is certified by a nonzero determinant modulo a large prime
@@ -49,6 +52,42 @@ def _inv(v) -> Fraction:
     if v.__class__ is int:
         return Fraction(1, v)
     return Fraction(v.denominator, v.numerator)
+
+
+def _column_sum(terms: list[tuple[int, RatMat]], j: int) -> dict[int, int]:
+    """Column j of the sum of c * P, zeros dropped; P integral.
+
+    A single term with c = 1 gives P's own column, not a copy.
+    """
+    if len(terms) == 1:
+        c, P = terms[0]
+        col = P.cols[j]
+        return col if c == 1 else {r: c * v for r, v in col.items()}
+    acc: dict[int, int] = {}
+    for c, P in terms:
+        for r, v in P.cols[j].items():
+            if w := acc.get(r, 0) + c * v:
+                acc[r] = w
+            else:
+                del acc[r]
+    return acc
+
+
+def _cleared_gap(left, right, denom: int) -> int | Fraction:
+    """max |L - R| / denom, normalised like `_q`.
+
+    L and R are sums of c * P over integral matrices P, given as lists of
+    (c, P) with nonzero c, and left is not empty.  With L = R a relation
+    multiplied through by its clearing factor denom > 0, this is the largest
+    entry of the relation itself.  Columns compare as dicts first, so a
+    column that holds costs no subtraction.
+    """
+    worst = 0
+    for j in range(left[0][1].ncols):
+        L, R = _column_sum(left, j), _column_sum(right, j)
+        if L != R:
+            worst = max(worst, max(abs(L.get(r, 0) - R.get(r, 0)) for r in L.keys() | R.keys()))
+    return worst if denom == 1 else _q(Fraction(worst, denom))
 
 
 class RatMat:
@@ -254,14 +293,16 @@ class RatMat:
             return False
         return all(col == {j: 1} for j, col in enumerate(self.cols))
 
-    def max_abs(self) -> int | Fraction:
-        """Largest absolute entry; the exact residual of a difference matrix."""
-        best = 0
-        for col in self.cols:
-            for v in col.values():
-                if abs(v) > best:
-                    best = abs(v)
-        return best
+    def gap(self, other: "RatMat") -> int | Fraction:
+        """max |self - other|, exact: the residual of the identity self = other.
+
+        Both sides are cleared (self = A / da, other = B / db) and compared
+        as db * A against da * B by `_cleared_gap`, so no difference matrix
+        is built and no Fraction is subtracted.
+        """
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        (A, da), (B, db) = self.cleared(), other.cleared()
+        return _cleared_gap([(db, A)], [(da, B)], da * db)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)

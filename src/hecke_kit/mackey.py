@@ -19,7 +19,6 @@ against the generic construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .coxeter import CoxeterSystem, elem_of_line, interleaving_rep_line
@@ -92,7 +91,7 @@ class MackeyInstance:
 
 def build_sides(sys: CoxeterSystem, I, J, M: HeckeModule) -> MackeyInstance:
     """Induce M to the full algebra and decompose its restriction to H_J."""
-    if M.system is not sys and M.system.matrix != sys.matrix:
+    if not M.system.same_group(sys):
         raise ValueError("module belongs to a different Coxeter system")
     if M.subset != sys.check_subset(I):
         raise ValueError("module must live over the subset I")
@@ -189,10 +188,8 @@ def verify(inst: MackeyInstance) -> VerificationReport:
 
     fwd, bwd = build_transfer_maps(inst)
     ident = RatMat.identity(inst.lhs.dim)
-    rep.add_residual("backward o forward is the identity",
-                     (bwd.matrix @ fwd.matrix - ident).max_abs())
-    rep.add_residual("forward o backward is the identity",
-                     (fwd.matrix @ bwd.matrix - ident).max_abs())
+    rep.add_residual("backward o forward is the identity", (bwd.matrix @ fwd.matrix).gap(ident))
+    rep.add_residual("forward o backward is the identity", (fwd.matrix @ bwd.matrix).gap(ident))
     for j, r in bwd.residuals().items():
         rep.add_residual(f"backward map is equivariant for s{j + 1}", r)
     for j, r in fwd.residuals().items():
@@ -286,10 +283,8 @@ def verify_tensor_decomposition(M: HeckeModule, N: HeckeModule, k: int,
         want = comb(k, t) * comb(m + n - k, m - t) * M.dim * N.dim
         rep.add(f"t={t}: block dimension is C({k},{t})*C({m + n - k},{m - t})*dimM*dimN",
                 cor_block.dim == want)
-        worst = Fraction(0)
-        for j in sorted(J):
-            worst = max(worst, (cor_block.gen_action[j]
-                                - block.module.gen_action[j]).max_abs())
+        worst = max((cor_block.gen_action[j].gap(block.module.gen_action[j])
+                     for j in sorted(J)), default=0)
         rep.add_residual(f"t={t}: independent block equals the generic block", worst)
         all_match &= cor_block.dim == block.module.dim
     if all_match and cor_blocks:

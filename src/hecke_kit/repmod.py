@@ -30,7 +30,7 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, is_type_a, symmetric_group_system
 from .hecke import MorphismSpec, SupportOutsideDomain
-from .linalg import RatMat, _q, intertwiner_rows, kernel_basis
+from .linalg import RatMat, _cleared_gap, _q, intertwiner_rows, kernel_basis
 from .scalars import ParamSpec
 
 __all__ = [
@@ -142,47 +142,9 @@ class HeckeModule:
         return all(ok for _, ok, _ in validate(self))
 
     def same_algebra(self, other: "HeckeModule") -> bool:
-        return (
-            (self.system is other.system or self.system.matrix == other.system.matrix)
-            and self.subset == other.subset
-            and self.params == other.params
-        )
-
-
-def _column_sum(terms: list[tuple[int, RatMat]], j: int) -> dict[int, int]:
-    """Column j of the sum of c * P, zeros dropped; P integral.
-
-    A single term with c = 1 gives P's own column, not a copy.
-    """
-    if len(terms) == 1:
-        c, P = terms[0]
-        col = P.cols[j]
-        return col if c == 1 else {r: c * v for r, v in col.items()}
-    acc: dict[int, int] = {}
-    for c, P in terms:
-        for r, v in P.cols[j].items():
-            if w := acc.get(r, 0) + c * v:
-                acc[r] = w
-            else:
-                del acc[r]
-    return acc
-
-
-def _cleared_gap(left, right, denom: int) -> int | Fraction:
-    """max |L - R| / denom, normalised like `_q`.
-
-    L and R are sums of c * P over integral matrices P, given as lists of
-    (c, P) with nonzero c, and left is not empty.  With L = R a relation
-    multiplied through by its clearing factor denom > 0, this is the largest
-    entry of the relation itself.  Columns compare as dicts first, so a
-    column that holds costs no subtraction.
-    """
-    worst = 0
-    for j in range(left[0][1].ncols):
-        L, R = _column_sum(left, j), _column_sum(right, j)
-        if L != R:
-            worst = max(worst, max(abs(L.get(r, 0) - R.get(r, 0)) for r in L.keys() | R.keys()))
-    return worst if denom == 1 else _q(Fraction(worst, denom))
+        return (self.system.same_group(other.system)
+                and self.subset == other.subset
+                and self.params == other.params)
 
 
 def validate(M: HeckeModule) -> list[tuple[str, bool, int | Fraction]]:
@@ -341,7 +303,7 @@ def lift_induced(info: InducedInfo, act: dict[int, RatMat], top: RatMat) -> RatM
 def outer_tensor(M: HeckeModule, N: HeckeModule) -> HeckeModule:
     """Kronecker module over the union of two commuting subsets."""
     sys = M.system
-    if sys is not N.system and sys.matrix != N.system.matrix:
+    if not sys.same_group(N.system):
         raise ValueError("outer tensor factors must share a system")
     if M.params != N.params:
         raise ParamMismatch(f"({M.params}) vs ({N.params})")
@@ -409,7 +371,7 @@ def twist_along(spec: MorphismSpec, M: HeckeModule) -> HeckeModule:
     by a0*I minus it when the spec flips, transposed for an anti morphism.
     """
     sys = M.system
-    if sys is not spec.system and sys.matrix != spec.system.matrix:
+    if not sys.same_group(spec.system):
         raise ValueError("module and morphism belong to different systems")
     if not spec.codomain <= M.subset:
         raise SupportOutsideDomain(

@@ -16,9 +16,7 @@ TOOL_VERSION = "0.1.0"
 __all__ = ["TOOL_NAME", "TOOL_VERSION", "CheckResult", "VerificationReport"]
 
 
-def _residual_str(value) -> str | None:
-    if value is None:
-        return None
+def _residual_str(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
     return str(Fraction(value))
@@ -30,10 +28,6 @@ class CheckResult:
     ok: bool
     residual: str | None = None
     detail: dict | None = None
-
-    @classmethod
-    def from_residual(cls, name, residual, detail=None):
-        return cls(name=name, ok=residual == 0, residual=_residual_str(residual), detail=detail)
 
     def to_json_obj(self) -> dict:
         obj = {"name": self.name, "ok": self.ok}
@@ -56,13 +50,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, name, ok, residual=None, detail=None):
-        self.checks.append(
-            CheckResult(name=name, ok=bool(ok), residual=_residual_str(residual), detail=detail)
-        )
+    def add(self, name, ok, detail=None):
+        self.checks.append(CheckResult(name=name, ok=bool(ok), detail=detail))
 
     def add_residual(self, name, residual, detail=None):
-        self.checks.append(CheckResult.from_residual(name, residual, detail))
+        """A check that passes exactly when its residual is zero."""
+        self.checks.append(CheckResult(name=name, ok=residual == 0,
+                                       residual=_residual_str(residual), detail=detail))
 
     def extend(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:

@@ -29,7 +29,6 @@ the dual-line involution reverses and complements the letter blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import CoxeterSystem, elem_of_line, one_line
 from .hecke import (
@@ -197,7 +196,7 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
     n = N.system.rank + 1
     if L is None:
         L = bt
-    if L.system.matrix != big.matrix or L.subset != big.full_subset:
+    if not L.system.same_group(big) or L.subset != big.full_subset:
         raise ValueError("restriction module must live over the full product algebra")
     rep = VerificationReport(
         title="automorphism twists of products and restrictions",
@@ -220,9 +219,8 @@ def verify_thm44(M: HeckeModule, N: HeckeModule, L: HeckeModule | None = None,
             ("part 6 (dual of a restriction)", chi)]
     for tag, builder in rest:
         lhs, rhs = _restriction_pair(builder, L, m)
-        worst = Fraction(0)
-        for j in sorted(lhs.subset):
-            worst = max(worst, (lhs.gen_action[j] - rhs.gen_action[j]).max_abs())
+        worst = max((lhs.gen_action[j].gap(rhs.gen_action[j]) for j in sorted(lhs.subset)),
+                    default=0)
         rep.add_residual(f"{tag}: identity map intertwines the two sides", worst)
         _cross_check(rep, tag, lhs, rhs, cross_check, seed)
     return rep
@@ -410,11 +408,11 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
     okA = dict.fromkeys(_A_BRANCHES, True)
     okB = dict.fromkeys(_B_BRANCHES, True)
     pair_counts: dict[str, int] = {}
-    worst_global = Fraction(0)
+    worst_global = 0
     for i0 in range(r - 1):
         Lmat = data.lhs.gen_action[i0].transpose() @ P
         Rmat = P @ data.alt_action[r - 2 - i0]
-        worst_global = max(worst_global, (Lmat - Rmat).max_abs())
+        worst_global = max(worst_global, Lmat.gap(Rmat))
 
         brA = {g: _branch_of(data.lines[g], i0 + 1, i0 + 2, m, _A_BRANCHES)
                for g in trans}

@@ -388,7 +388,7 @@ def test_intertwiner_rows_random_check():
             assert len(kernel_basis(dense_rows, d1 * d2)) == len(basis)
 
 
-def test_max_abs_residual():
+def test_gap_residual():
     a = RatMat.from_rows([[F(1, 3), -2], [0, F(5, 2)]])
-    assert a.max_abs() == F(5, 2)
-    assert (a - a).max_abs() == 0
+    assert a.gap(RatMat.zeros(2, 2)) == F(5, 2)
+    assert a.gap(a) == 0

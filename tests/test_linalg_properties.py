@@ -2,7 +2,9 @@
 
 Every operation must agree with a dense Fraction reference, and every stored
 entry must be a nonzero int or a Fraction whose denominator is not 1: never
-a float, never a Fraction equal to an integer.
+a float, never a Fraction equal to an integer.  The exact comparison that
+decides every matrix check (`RatMat.gap`, `_cleared_gap`) must give the
+Fraction reference's largest entry of the difference.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hecke_kit.linalg import RatMat, kernel_basis
+from hecke_kit.linalg import RatMat, _cleared_gap, kernel_basis
 
 F = Fraction
 
@@ -26,14 +28,20 @@ ENTRY = st.one_of(
     st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
 )
 DIM = st.integers(0, 4)
+# entries with several unrelated denominators, for the exact comparison
+WIDE = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9])),
+)
 
 
 @st.composite
-def dense(draw, nrows=None, ncols=None):
+def dense(draw, nrows=None, ncols=None, entry=ENTRY):
     """(nrows, ncols, rows) with rows a list of lists of mixed entries."""
     nrows = draw(DIM) if nrows is None else nrows
     ncols = draw(DIM) if ncols is None else ncols
-    rows = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     return nrows, ncols, rows
 
 
@@ -196,3 +204,65 @@ def test_kernel_basis(d):
             assert_entry(x)
         assert all(sum((F(a) * F(v.get(c, 0)) for c, a in enumerate(row)), F(0)) == 0
                    for row in ref(d))
+
+
+def ref_gap(ra, rb):
+    """max |A - B| over Fractions, entry by entry; 0 for an empty shape."""
+    return max((abs(x - y) for p, q in zip(ra, rb) for x, y in zip(p, q)), default=F(0))
+
+
+def assert_residual(v):
+    assert (v.__class__ is int and v >= 0) or (
+        v.__class__ is Fraction and v > 0 and v.denominator != 1), repr(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gap_matches_fraction_reference(data):
+    da = data.draw(dense(entry=WIDE))
+    db = data.draw(dense(da[0], da[1], entry=WIDE))
+    a, b = build(da), build(db)
+    want = ref_gap(ref(da), ref(db))
+    assert a.gap(b) == b.gap(a) == want
+    assert_residual(a.gap(b))
+    assert a.gap(a) == 0
+    zero = RatMat.zeros(da[0], da[1])
+    assert a.gap(zero) == ref_gap(ref(da), [[F(0)] * da[1]] * da[0])
+    assert zero.gap(zero) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gap_finds_one_planted_entry(data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = build(data.draw(dense(nrows, ncols, entry=WIDE)))
+    r, c = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
+    delta = data.draw(WIDE.filter(bool))
+    b = a.copy()
+    b.set_entry(r, c, a.entry(r, c) + delta)
+    assert a.gap(b) == b.gap(a) == abs(delta)
+
+
+@st.composite
+def combination(draw, nrows, ncols, min_terms):
+    """(c, P) pairs with nonzero integer c and integral P, and their Fraction sum."""
+    terms = []
+    total = [[F(0)] * ncols for _ in range(nrows)]
+    for _ in range(draw(st.integers(min_terms, 3))):
+        c = draw(st.integers(-5, 5).filter(bool))
+        d = draw(dense(nrows, ncols, entry=st.integers(-9, 9)))
+        terms.append((c, build(d)))
+        total = [[t + c * v for t, v in zip(trow, row)] for trow, row in zip(total, ref(d))]
+    return terms, total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cleared_gap_of_combinations(data):
+    nrows, ncols = data.draw(DIM), data.draw(DIM)
+    left, lsum = data.draw(combination(nrows, ncols, 1))
+    right, rsum = data.draw(combination(nrows, ncols, 0))
+    denom = data.draw(st.integers(1, 12))
+    got = _cleared_gap(left, right, denom)
+    assert got == ref_gap(lsum, rsum) / denom
+    assert_residual(got)
