@@ -17,8 +17,8 @@ The isomorphism search solves Hom(M, N) once, in the direction it is given.
 An induced module keeps its transversal tree, each coset representative
 linked to a shorter one by a generator, and `lift_induced` is the one walk
 up that tree: every map built on an induced basis (hom lifts, twist
-transports, the alternate-basis change) fixes the identity-coset block and
-multiplies its way up the tree.
+transports, the alternate-basis change and its inverse) fixes the
+identity-coset block and multiplies its way up the tree.
 """
 
 from __future__ import annotations
@@ -587,9 +587,6 @@ class ModuleMap:
 
     def is_invertible(self) -> bool:
         return self.matrix.is_invertible()
-
-    def inverse(self) -> "ModuleMap":
-        return ModuleMap(self.target, self.source, self.matrix.inverse(), self.subset)
 
 
 def _search_invertible(basis: list[RatMat], seed: int) -> Optional[RatMat]:

@@ -7,7 +7,6 @@ the integer polynomial ring Z[a, b], or at an exact rational specialization
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ class BiPoly:
     >>> p = BiPoly.var_a() * BiPoly.var_b() - BiPoly.var_a() ** 3
     >>> str(p)
     '-a^3 + a*b'
-    >>> BiPoly.parse("-a^3 + a*b") == p
+    >>> p == BiPoly({(1, 1): 1, (3, 0): -1})
     True
     """
 
@@ -200,57 +199,6 @@ class BiPoly:
     def __repr__(self):
         return f"BiPoly({str(self)!r})"
 
-    _TOKEN = re.compile(r"\s*(?:(\d+)|([ab])(?:\^(\d+))?|(\*)|([+-]))")
-
-    @classmethod
-    def parse(cls, text: str) -> "BiPoly":
-        """Inverse of str(): accepts sums of integer monomials in a, b."""
-        pos = 0
-        terms: list[tuple[tuple[int, int], int]] = []
-        sign, coeff, expa, expb = 1, None, 0, 0
-        have_factor = False
-        expect_factor = False  # set right after '*'
-
-        def flush():
-            nonlocal sign, coeff, expa, expb, have_factor
-            if expect_factor:
-                raise ValueError("dangling '*'")
-            if have_factor:
-                terms.append(((expa, expb), sign * (1 if coeff is None else coeff)))
-            sign, coeff, expa, expb, have_factor = 1, None, 0, 0, False
-
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-                break
-            pos = m.end()
-            num, var, power, star, pm = m.groups()
-            if pm:
-                flush()
-                if pm == "-":
-                    sign = -sign
-            elif star:
-                if not have_factor or expect_factor:
-                    raise ValueError("misplaced '*'")
-                expect_factor = True
-            else:
-                if have_factor and not expect_factor:
-                    raise ValueError("missing '*' between factors")
-                expect_factor = False
-                if num is not None:
-                    coeff = (1 if coeff is None else coeff) * int(num)
-                else:
-                    k = int(power) if power else 1
-                    if var == "a":
-                        expa += k
-                    else:
-                        expb += k
-                have_factor = True
-        flush()
-        return cls(terms)
-
 
 def _coerce(x):
     if isinstance(x, BiPoly):
@@ -293,10 +241,6 @@ class ParamSpec:
         if len(parts) != 2:
             raise ValueError(f"expected 'a,b', got {text!r}")
         return cls(parse_rational(parts[0]), parse_rational(parts[1]))
-
-    @property
-    def label(self) -> str:
-        return f"({self.a0},{self.b0})"
 
     def __str__(self):
         return f"{self.a0},{self.b0}"

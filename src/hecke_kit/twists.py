@@ -15,7 +15,15 @@ anti-automorphisms the link is a bilinear
 pairing between the product module and the product of the dual twists,
 presented on the alternate (shifted) induced basis; the pairing is a
 permutation of dual lines, and its equivariance is checked both as a global
-matrix identity and branch by branch through the one-line case analysis.
+matrix identity and entry by entry against the one-line case analysis: each
+rule predicts the blocks of one line in a single pass, and an entry that
+differs fails the rule of its row line (A) or column line (B).
+
+The anti-twist maps are lifts too: part 1 is the pairing after the lift of
+the identity-coset lines through the alternate action, which inverts the
+alternate-basis change without elimination.  As chi = phi o phi_hat, part 2
+is part 1 after thm44 part 1 for the phi_hat-twisted factors, and parts 3
+and 4 compose part 2 with thm44 maps.
 
 Every morphism is a generator relabelling, maybe composed with the flip, so
 its images are affine in a single generator; transport and the twisted
@@ -268,8 +276,10 @@ class Pairing:
     lhs carries the standard induced basis; rhs is the product of the
     transpose-relabel twists of the factors.  alt_action gives the rhs action
     in the alternate induced basis (shifted generators), change expands that
-    basis in the standard one, and matrix is the pairing itself: line (g, k)
-    pairs with the alternate line of the dual transversal element, same k.
+    basis in the standard one (a lift through the shifted generators; its
+    inverse is the lift through alt_action), and matrix is the pairing
+    itself: line (g, k) pairs with the alternate line of the dual transversal
+    element, same k.
     """
     m: int
     n: int
@@ -318,9 +328,8 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
                     for rr, val in blk.cols[c].items():
                         col[base + rr] = val
             else:
-                swapped = list(line)
-                swapped[p1 - 1], swapped[p2 - 1] = swapped[p2 - 1], swapped[p1 - 1]
-                other = info.pos[elem_of_line(big, tuple(swapped))] * d
+                # swapping the values i0+1, i0+2 is left multiplication by s_i0
+                other = info.pos[big.left_table[g][i0]] * d
                 if p1 <= m:
                     for c in range(d):
                         mat.cols[base + c][other + c] = 1
@@ -348,15 +357,6 @@ def build_pairing(M: HeckeModule, N: HeckeModule) -> Pairing:
     return Pairing(m, n, big, bt, bt_h, T, dual_T, alt_action, change, P, gp, lines)
 
 
-def _block(mat: RatMat, row0: int, col0: int, d: int) -> RatMat:
-    out = RatMat.zeros(d, d)
-    for c in range(d):
-        for rr, v in mat.cols[col0 + c].items():
-            if row0 <= rr < row0 + d:
-                out.cols[c][rr - row0] = v
-    return out
-
-
 def _branch_of(line, v1: int, v2: int, m: int, labels) -> str:
     p1 = line.index(v1) + 1
     p2 = line.index(v2) + 1
@@ -369,11 +369,10 @@ def _branch_of(line, v1: int, v2: int, m: int, labels) -> str:
     return labels[3]
 
 
-def _swap_values(big, line, v1, v2):
-    swapped = list(line)
-    i1, i2 = swapped.index(v1), swapped.index(v2)
-    swapped[i1], swapped[i2] = swapped[i2], swapped[i1]
-    return elem_of_line(big, tuple(swapped))
+def _put(entries: dict, blk: RatMat, row0: int, col0: int) -> None:
+    for c, col in enumerate(blk.cols):
+        for rr, v in col.items():
+            entries[row0 + rr, col0 + c] = v
 
 
 def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
@@ -386,7 +385,6 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
     gp = data.involution
     a0, b0 = data.lhs.params.a0, data.lhs.params.b0
     ident = RatMat.identity(d)
-    zero = RatMat.zeros(d, d)
 
     rows = [next(iter(col)) for col in P.cols if col]
     perm_ok = (P.nnz() == P.nrows
@@ -414,51 +412,51 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
         Rmat = P @ data.alt_action[r - 2 - i0]
         worst_global = max(worst_global, Lmat.gap(Rmat))
 
-        brA = {g: _branch_of(data.lines[g], i0 + 1, i0 + 2, m, _A_BRANCHES)
-               for g in trans}
-        brB = {g: _branch_of(data.lines[g], r - i0 - 1, r - i0, m, _B_BRANCHES)
-               for g in trans}
+        # rule A predicts the row blocks of line g, rule B the column blocks
+        # of line g, as sparse (row, col) -> entry maps of lhs_i^T P
+        brA, brB, predA, predB = {}, {}, {}, {}
         for g in trans:
-            countsA[brA[g]] += 1
-            countsB[brB[g]] += 1
-        for g in trans:
-            a_br = brA[g]
-            ga = data.lines[g]
+            line = data.lines[g]
+            at = info.pos[g] * d
+            dual_at = info.pos[gp[g]] * d
+            a_br = brA[g] = _branch_of(line, i0 + 1, i0 + 2, m, _A_BRANCHES)
+            b_br = brB[g] = _branch_of(line, r - i0 - 1, r - i0, m, _B_BRANCHES)
+            countsA[a_br] += 1
+            countsB[b_br] += 1
             if a_br in ("A1", "A2"):
-                p = min(ga.index(i0 + 1), ga.index(i0 + 2))
-                predA_at = {gp[g]: data.source.gen_action[p].transpose()}
-            elif a_br == "A3":
-                predA_at = {gp[_swap_values(big, ga, i0 + 1, i0 + 2)]: ident}
+                p = min(line.index(i0 + 1), line.index(i0 + 2))
+                _put(predA, data.source.gen_action[p].transpose(), at, dual_at)
             else:
-                predA_at = {gp[g]: ident.scale(a0)}
-                other = gp[_swap_values(big, ga, i0 + 1, i0 + 2)]
-                predA_at[other] = predA_at.get(other, zero) + ident.scale(b0)
-            for lam in trans:
-                b_br = brB[lam]
-                la = data.lines[lam]
-                if b_br in ("B1", "B2"):
-                    q = min(la.index(r - i0 - 1), la.index(r - i0))
-                    predB = (data.dual_source.gen_action[q]
-                             if g == gp[lam] else zero)
-                elif b_br == "B3":
-                    predB = zero
-                    if g == gp[lam]:
-                        predB = predB + ident.scale(a0)
-                    if g == gp[_swap_values(big, la, r - i0 - 1, r - i0)]:
-                        predB = predB + ident
+                # the values i0+1, i0+2 swapped: left multiplication by s_i0
+                swap_at = info.pos[gp[big.left_table[g][i0]]] * d
+                if a_br == "A3":
+                    _put(predA, ident, at, swap_at)
                 else:
-                    predB = (ident.scale(b0)
-                             if g == gp[_swap_values(big, la, r - i0 - 1, r - i0)]
-                             else zero)
-                blk = _block(Lmat, info.pos[g] * d, info.pos[lam] * d, d)
-                predA = predA_at.get(lam, zero)
-                if blk != predA:
-                    okA[a_br] = False
-                if blk != predB:
-                    okB[b_br] = False
-                if not blk.is_zero():
-                    key = f"{a_br}|{b_br}"
-                    pair_counts[key] = pair_counts.get(key, 0) + 1
+                    _put(predA, ident.scale(a0), at, dual_at)
+                    _put(predA, ident.scale(b0), at, swap_at)
+            if b_br in ("B1", "B2"):
+                q = min(line.index(r - i0 - 1), line.index(r - i0))
+                _put(predB, data.dual_source.gen_action[q], dual_at, at)
+            else:
+                swap_at = info.pos[gp[big.left_table[g][r - i0 - 2]]] * d
+                if b_br == "B3":
+                    _put(predB, ident.scale(a0), dual_at, at)
+                    _put(predB, ident, swap_at, at)
+                else:
+                    _put(predB, ident.scale(b0), swap_at, at)
+
+        # a differing entry fails rule A of its row line, rule B of its column line
+        entries: dict = {}
+        _put(entries, Lmat, 0, 0)
+        for rr, c in entries.keys() | predA.keys():
+            if entries.get((rr, c)) != predA.get((rr, c)):
+                okA[brA[trans[rr // d]]] = False
+        for rr, c in entries.keys() | predB.keys():
+            if entries.get((rr, c)) != predB.get((rr, c)):
+                okB[brB[trans[c // d]]] = False
+        for t, u in {(rr // d, c // d) for rr, c in entries}:
+            key = f"{brA[trans[t]]}|{brB[trans[u]]}"
+            pair_counts[key] = pair_counts.get(key, 0) + 1
 
     rep.add_residual("pairing intertwines the action with its partner generator",
                      worst_global,
@@ -473,7 +471,9 @@ def _pairing_checks(data: Pairing, rep: VerificationReport) -> None:
 
 
 def _part1_from(data: Pairing) -> ModuleMap:
-    X = data.matrix @ data.change.inverse()
+    d = data.source.dim
+    top = RatMat(data.rhs.dim, d, RatMat.identity(d).cols)
+    X = data.matrix @ lift_induced(data.rhs.induced, data.alt_action, top)
     target = _twist_full(phi_hat, data.lhs)
     return ModuleMap(data.rhs, target, X, data.big.full_subset)
 
@@ -510,10 +510,8 @@ def verify_thm48(M: HeckeModule, N: HeckeModule, cross_check="auto",
     Nc = _twist_full(chi, N)
     Mc = _twist_full(chi, M)
     bt_c = boxtimes(Nc, Mc)
-    data1p = build_pairing(_twist_full(phi, N), _twist_full(phi, M))
-    h1 = _product_twist_map(phi, bt, M, N, reverse=True, source=data1p.lhs)
-    X2 = ModuleMap(bt_c, _twist_full(chi, bt),
-                   h1.inverse().matrix.transpose() @ _part1_from(data1p).matrix, S)
+    h = _product_twist_map(phi, data.rhs, M, N, reverse=True, source=bt_c)
+    X2 = ModuleMap(bt_c, _twist_full(chi, bt), X1.matrix @ h.matrix, S)
     add_map("part 2 (dual of a product)", X2)
 
     src3 = boxtimes(_twist_full(theta_hat, N), _twist_full(theta_hat, M))

@@ -67,7 +67,7 @@ def test_twist_maps(params):
     for make in (thm44_part1_map, thm44_part2_map, thm44_part3_map, thm48_part1_map):
         fmap = make(M, N)
         assert_int_entries(fmap.matrix, make.__name__)
-        assert_int_entries(fmap.inverse().matrix, f"{make.__name__} inverse")
+        assert_int_entries(fmap.matrix.inverse(), f"{make.__name__} inverse")
         for mod in (fmap.source, fmap.target):
             for i, mat in mod.gen_action.items():
                 assert_int_entries(mat, f"{make.__name__} module s{i + 1}")

@@ -1,17 +1,22 @@
 """Twist compatibility: transport of induced modules along automorphisms,
 the dual-line involution, and the pairing with the product of dual twists."""
 
+import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from hecke_kit.coxeter import get_system, one_line, symmetric_group_system
+from hecke_kit.coxeter import elem_of_line, get_system, one_line, symmetric_group_system
 from hecke_kit.hecke import chi, omega, phi, theta
 from hecke_kit.linalg import RatMat
 from hecke_kit import cli, repmod, twists
-from hecke_kit.repmod import induce, iso_test, random_conjugate, regular, scalar
+from hecke_kit.repmod import (
+    HeckeModule, ModuleMap, induce, iso_test, random_conjugate, regular, scalar,
+)
+from hecke_kit.report import VerificationReport
 from hecke_kit.scalars import DEFAULT_PARAM_BATTERY, ParamSpec
 from hecke_kit.twists import (
     build_pairing,
@@ -233,13 +238,35 @@ def test_thm44_builds_the_product_once(monkeypatch):
 
 
 def test_thm48_builds_each_product_once(monkeypatch):
-    # two products for each of the two pairings, the chi-twisted product and
-    # the sources of parts 3 and 4
+    # the two products of the pairing, the chi-twisted product and the
+    # sources of parts 3 and 4
     M, N = full_regular(S2, P23), trivial(P23)
     calls = count_induce_calls(monkeypatch)
     rep = verify_thm48(M, N)
     assert not failing(rep)
-    assert len(calls) <= 7
+    assert len(calls) <= 5
+
+
+def test_thm48_builds_one_pairing_and_inverts_nothing(monkeypatch):
+    # every thm48 map is a lift up the transversal tree or a product of lifts
+    def no_inverse(self):
+        raise AssertionError("a thm48 map was built by elimination")
+
+    monkeypatch.setattr(RatMat, "inverse", no_inverse)
+    pairings = []
+    real = twists.build_pairing
+
+    def counted(M, N):
+        pairings.append((M.dim, N.dim))
+        return real(M, N)
+
+    monkeypatch.setattr(twists, "build_pairing", counted)
+    for M, N in [(full_regular(S2, P23), trivial(P23)),
+                 (full_regular(S2, PM11), full_regular(S2, PM11))]:
+        pairings.clear()
+        rep = verify_thm48(M, N)
+        assert not failing(rep), failing(rep)
+        assert pairings == [(M.dim, N.dim)]
 
 
 def test_thm44_custom_restriction_module():
@@ -353,6 +380,181 @@ def test_pairing_across_params(ptxt):
     assert not failing_checks(pairing_checks(other, full_regular(S2, params)))
 
 
+# the block-pair form of the case-rule checks, kept as the reference: for
+# every pair of transversal lines it builds the block of lhs_i^T P and both
+# rules' predictions for it, rebuilding swapped lines from their one-line form
+
+
+def _ref_block(mat, row0, col0, d):
+    out = RatMat.zeros(d, d)
+    for c in range(d):
+        for rr, v in mat.cols[col0 + c].items():
+            if row0 <= rr < row0 + d:
+                out.cols[c][rr - row0] = v
+    return out
+
+
+def _ref_swap_values(big, line, v1, v2):
+    swapped = list(line)
+    i1, i2 = swapped.index(v1), swapped.index(v2)
+    swapped[i1], swapped[i2] = swapped[i2], swapped[i1]
+    return elem_of_line(big, tuple(swapped))
+
+
+def reference_pairing_checks(data, rep):
+    big, m, n = data.big, data.m, data.n
+    r = m + n
+    d = data.source.dim
+    P = data.matrix
+    info = data.lhs.induced
+    trans = info.transversal
+    gp = data.involution
+    a0, b0 = data.lhs.params.a0, data.lhs.params.b0
+    ident = RatMat.identity(d)
+    zero = RatMat.zeros(d, d)
+
+    rows = [next(iter(col)) for col in P.cols if col]
+    perm_ok = (P.nnz() == P.nrows
+               and len(set(rows)) == P.nrows
+               and all(len(col) == 1 and next(iter(col.values())) == 1 for col in P.cols))
+    rep.add("pairing pairs each basis line with exactly one dual line", perm_ok)
+    rep.add("pairing matrix is invertible", P.is_invertible())
+    rep.add("dual-line involution is self-inverse",
+            all(gp[gp[g]] == g for g in trans))
+
+    rhs = data.rhs
+    alt = HeckeModule(big, rhs.subset, rhs.params, rhs.dim, data.alt_action)
+    change = ModuleMap(alt, rhs, data.change, rhs.subset)
+    rep.add_residual("alternate basis presentation matches the induced action",
+                     max(change.residuals().values()))
+
+    A_BR, B_BR = ("A1", "A2", "A3", "A4"), ("B1", "B2", "B3", "B4")
+    countsA = dict.fromkeys(A_BR, 0)
+    countsB = dict.fromkeys(B_BR, 0)
+    okA = dict.fromkeys(A_BR, True)
+    okB = dict.fromkeys(B_BR, True)
+    pair_counts = {}
+    worst_global = 0
+    for i0 in range(r - 1):
+        Lmat = data.lhs.gen_action[i0].transpose() @ P
+        Rmat = P @ data.alt_action[r - 2 - i0]
+        worst_global = max(worst_global, Lmat.gap(Rmat))
+
+        brA = {g: twists._branch_of(data.lines[g], i0 + 1, i0 + 2, m, A_BR)
+               for g in trans}
+        brB = {g: twists._branch_of(data.lines[g], r - i0 - 1, r - i0, m, B_BR)
+               for g in trans}
+        for g in trans:
+            countsA[brA[g]] += 1
+            countsB[brB[g]] += 1
+        for g in trans:
+            a_br = brA[g]
+            ga = data.lines[g]
+            if a_br in ("A1", "A2"):
+                p = min(ga.index(i0 + 1), ga.index(i0 + 2))
+                predA_at = {gp[g]: data.source.gen_action[p].transpose()}
+            elif a_br == "A3":
+                predA_at = {gp[_ref_swap_values(big, ga, i0 + 1, i0 + 2)]: ident}
+            else:
+                predA_at = {gp[g]: ident.scale(a0)}
+                other = gp[_ref_swap_values(big, ga, i0 + 1, i0 + 2)]
+                predA_at[other] = predA_at.get(other, zero) + ident.scale(b0)
+            for lam in trans:
+                b_br = brB[lam]
+                la = data.lines[lam]
+                if b_br in ("B1", "B2"):
+                    q = min(la.index(r - i0 - 1), la.index(r - i0))
+                    predB = (data.dual_source.gen_action[q]
+                             if g == gp[lam] else zero)
+                elif b_br == "B3":
+                    predB = zero
+                    if g == gp[lam]:
+                        predB = predB + ident.scale(a0)
+                    if g == gp[_ref_swap_values(big, la, r - i0 - 1, r - i0)]:
+                        predB = predB + ident
+                else:
+                    predB = (ident.scale(b0)
+                             if g == gp[_ref_swap_values(big, la, r - i0 - 1, r - i0)]
+                             else zero)
+                blk = _ref_block(Lmat, info.pos[g] * d, info.pos[lam] * d, d)
+                predA = predA_at.get(lam, zero)
+                if blk != predA:
+                    okA[a_br] = False
+                if blk != predB:
+                    okB[b_br] = False
+                if not blk.is_zero():
+                    key = f"{a_br}|{b_br}"
+                    pair_counts[key] = pair_counts.get(key, 0) + 1
+
+    rep.add_residual("pairing intertwines the action with its partner generator",
+                     worst_global,
+                     detail={"A": countsA, "B": countsB,
+                             "nonzero pairs": dict(sorted(pair_counts.items()))})
+    for br in A_BR:
+        rep.add(f"case rule {br} reproduces its pairing blocks", okA[br],
+                detail={"fired": countsA[br]})
+    for br in B_BR:
+        rep.add(f"case rule {br} reproduces its pairing blocks", okB[br],
+                detail={"fired": countsB[br]})
+
+
+def _with_entry(acts, i, row, col, value):
+    """A copy of the action dict with one entry of generator i replaced."""
+    acts = dict(acts)
+    acts[i] = acts[i].copy()
+    acts[i].set_entry(row, col, value)
+    return acts
+
+
+def _entry_faults(acts, rng):
+    """Single-entry faults in each matrix of acts: one random entry raised
+    by 1, one nonzero entry cleared, one nonzero entry halved."""
+    for i in sorted(acts):
+        mat = acts[i]
+        row, col = rng.randrange(mat.nrows), rng.randrange(mat.ncols)
+        yield _with_entry(acts, i, row, col, mat.entry(row, col) + 1)
+        nonzero = sorted((rr, c) for c, column in enumerate(mat.cols) for rr in column)
+        for row, col in rng.sample(nonzero, min(2, len(nonzero))):
+            yield _with_entry(acts, i, row, col, 0)
+            yield _with_entry(acts, i, row, col, Fraction(mat.entry(row, col), 2))
+
+
+def _planted_pairings(data, rng):
+    """The pairing itself, then copies with one planted single-entry fault
+    in an lhs generator, the source, the dual source or the alternate action."""
+    yield data
+    for field in ("lhs", "source", "dual_source"):
+        mod = getattr(data, field)
+        for acts in _entry_faults(mod.gen_action, rng):
+            bad = HeckeModule(mod.system, mod.subset, mod.params, mod.dim, acts,
+                              induced=mod.induced)
+            yield dataclasses.replace(data, **{field: bad})
+    for acts in _entry_faults(data.alt_action, rng):
+        yield dataclasses.replace(data, alt_action=acts)
+
+
+REFERENCE_CASES = [(m, n, "regular", "one") for m, n in ((1, 1), (2, 1), (2, 2))] + [
+    (3, 2, "one", "one"), (2, 3, "one", "one")]
+
+
+@pytest.mark.parametrize("ptxt", ["2,3", "-1,1", "1/2,3/16"])
+@pytest.mark.parametrize("m,n,kind_m,kind_n", REFERENCE_CASES)
+def test_case_rules_match_the_block_pair_reference(m, n, kind_m, kind_n, ptxt):
+    params = ParamSpec.parse(ptxt)
+    data = build_pairing(_pin_factor(kind_m, m, params), _pin_factor(kind_n, n, params))
+    rng = random.Random(f"{m},{n},{ptxt}")
+    failed = 0
+    for planted in _planted_pairings(data, rng):
+        new = VerificationReport(title="pairing", instance={}, seed=0)
+        ref = VerificationReport(title="pairing", instance={}, seed=0)
+        twists._pairing_checks(planted, new)
+        reference_pairing_checks(planted, ref)
+        assert new.to_json() == ref.to_json()
+        failed += not new.passed
+    # the planted faults reach the checks
+    assert failed > 0
+
+
 # -- the four dual statements -------------------------------------------------
 
 
@@ -360,6 +562,22 @@ def test_thm48_part1_map_frozen_small():
     fm = thm48_part1_map(trivial(P10), trivial(P10))
     assert fm.matrix == RatMat.from_rows([[0, 1], [1, 1]])
     assert fm.check() and fm.matrix.is_invertible()
+
+
+# the battery points and the benchmark's rational points
+LIFT_POINTS = [str(p) for p in DEFAULT_PARAM_BATTERY] + ["1/2,3/16", "3/2,-1/2", "1/3,1/5"]
+
+
+@pytest.mark.parametrize("ptxt", LIFT_POINTS)
+def test_part1_lift_inverts_the_alternate_basis_change(ptxt):
+    # part 1 lifts the standard basis into alternate coordinates; the
+    # reference inverts the change of basis by elimination
+    params = ParamSpec.parse(ptxt)
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        M = _pin_factor("regular" if m == 2 else "one", m, params)
+        N = _pin_factor("one", n, params)
+        data = build_pairing(M, N)
+        assert thm48_part1_map(M, N).matrix == data.matrix @ data.change.inverse()
 
 
 def test_thm48_one_one_both_scalars():
