@@ -298,9 +298,13 @@ class RatMat:
 
         Both sides are cleared (self = A / da, other = B / db) and compared
         as db * A against da * B by `_cleared_gap`, so no difference matrix
-        is built and no Fraction is subtracted.
+        is built and no Fraction is subtracted.  Matrices of different
+        shapes have no residual; comparing them is a fault of the caller and
+        raises RuntimeError, not ValueError, which reads as bad input.
         """
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise RuntimeError(f"gap of a {self.nrows}x{self.ncols} and a "
+                               f"{other.nrows}x{other.ncols} matrix")
         (A, da), (B, db) = self.cleared(), other.cleared()
         return _cleared_gap([(db, A)], [(da, B)], da * db)
 

@@ -6,8 +6,12 @@ representative tau: the J-induction of the conjugation twist of M's
 restriction to the cross-section subset.  Both sides are built explicitly,
 together with the two basis-indexed transfer maps from the structure of the
 triple factorization w = u*tau*v; verification checks they are mutually
-inverse and generator-equivariant, all exactly over Q.  The induced side
-does not depend on J, so `split_induced` decomposes one induction along any J.
+inverse and generator-equivariant, all exactly over Q.  By the uniqueness of
+that factorization both maps are permutations of basis lines, kept as line
+lists.  A product with a permutation only moves entries, so verification
+composes and relabels lines instead of multiplying matrices, and compares
+exactly the matrices the products would give.  The induced side does not
+depend on J, so `split_induced` decomposes one induction along any J.
 
 The symmetric-group specialization (both subsets maximal, M an induction
 product of two modules) is rebuilt here by an independent route: transversal
@@ -23,7 +27,7 @@ from math import comb
 
 from .coxeter import CoxeterSystem, elem_of_line, interleaving_rep_line
 from .hecke import c_w_morphism
-from .linalg import RatMat
+from .linalg import RatMat, _cleared_gap
 from .repmod import (
     HeckeModule,
     ModuleMap,
@@ -119,14 +123,17 @@ def split_induced(big: HeckeModule, J) -> MackeyInstance:
     return MackeyInstance(sys, I, J, M, big, lhs, blocks, rhs)
 
 
-def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
-    """The mutually inverse basis maps between the two sides.
+def _transfer_lines(inst: MackeyInstance) -> tuple[list, list]:
+    """The two transfer maps as line lists, fwd and bwd.
 
-    Forward: a line (w, k) of the induced basis factors as w = u*tau (its
-    right part in W_I is trivial since w is coset-minimal) and lands on line
-    (u, k) of the tau block.  Backward: block line (z, k) of tau returns to
-    (z*tau, k).  Both are permutation matrices by the uniqueness of the
-    triple factorization.
+    Column c of the forward map is the basis line fwd[c] of the right side
+    (bwd[c] of the left side for the backward map), so each map is the 0/1
+    matrix with one entry per column; a line no loop writes stays None, an
+    empty column.  Forward: a line (w, k) of the induced basis factors as
+    w = u*tau (its right part in W_I is trivial since w is coset-minimal)
+    and lands on line (u, k) of the tau block.  Backward: block line (z, k)
+    of tau returns to (z*tau, k).  Both are permutations by the uniqueness
+    of the triple factorization.
     """
     sys = inst.system
     d = inst.M.dim
@@ -134,7 +141,7 @@ def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
     dim = inst.lhs.dim
     big_info = inst.big.induced
 
-    fwd = RatMat.zeros(dim, dim)
+    fwd = [None] * dim
     for wpos, w in enumerate(big_info.transversal):
         u, tau, v = sys.triple_factorize(w, inst.J, inst.I)
         if v != 0:
@@ -142,21 +149,59 @@ def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
         block = inst.blocks[rep_pos[tau]]
         row = block.offset + block.module.induced.pos[u] * d
         for k in range(d):
-            fwd.cols[wpos * d + k][row + k] = 1
+            fwd[wpos * d + k] = row + k
 
-    bwd = RatMat.zeros(dim, dim)
+    bwd = [None] * dim
     for block in inst.blocks:
         info = block.module.induced
         for zpos, z in enumerate(info.transversal):
-            target = big_info.pos[sys.mult(z, block.tau)]
+            target = big_info.pos[sys.mult(z, block.tau)] * d
             for k in range(d):
-                col = block.offset + zpos * d + k
-                bwd.cols[col][target * d + k] = 1
+                bwd[block.offset + zpos * d + k] = target + k
+    return fwd, bwd
 
+
+def _line_matrix(line) -> RatMat:
+    """The 0/1 matrix whose column c is the basis vector of line[c]."""
+    n = len(line)
+    return RatMat(n, n, [{} if r is None else {r: 1} for r in line])
+
+
+def build_transfer_maps(inst: MackeyInstance) -> tuple[ModuleMap, ModuleMap]:
+    """The mutually inverse basis maps between the two sides, as permutation
+    matrices of the lines of `_transfer_lines`."""
+    fwd, bwd = _transfer_lines(inst)
     return (
-        ModuleMap(inst.lhs, inst.rhs, fwd, inst.J),
-        ModuleMap(inst.rhs, inst.lhs, bwd, inst.J),
+        ModuleMap(inst.lhs, inst.rhs, _line_matrix(fwd), inst.J),
+        ModuleMap(inst.rhs, inst.lhs, _line_matrix(bwd), inst.J),
     )
+
+
+def _line_times(line, A: RatMat) -> RatMat:
+    """P @ A for P = `_line_matrix(line)`: row r of A moves to row line[r].
+
+    Rows that land on one line add up, as in the product; for a permutation
+    no two do, and the rows are only relabelled.
+    """
+    cols = []
+    for col in A.cols:
+        acc = {}
+        for r, v in col.items():
+            t = line[r]
+            if t is None:
+                continue
+            if w := acc.get(t, 0) + v:
+                acc[t] = w
+            else:
+                del acc[t]
+        cols.append(acc)
+    return RatMat(len(line), A.ncols, cols)
+
+
+def _times_line(B: RatMat, line) -> RatMat:
+    """B @ P for P = `_line_matrix(line)`: column c is B's column line[c],
+    shared, not copied."""
+    return RatMat(B.nrows, len(line), [{} if c is None else B.cols[c] for c in line])
 
 
 def verify(inst: MackeyInstance) -> VerificationReport:
@@ -166,6 +211,15 @@ def verify(inst: MackeyInstance) -> VerificationReport:
     fwd is equivariant (rhs_j fwd = fwd lhs_j), every left generator is a
     conjugate lhs_j = bwd rhs_j fwd, so each relation that holds on the
     right side holds on the left side too.
+
+    The transfer maps are line permutations (see `_transfer_lines`), so no
+    transfer matrix is multiplied.  A product with a 0/1 matrix that has one
+    entry per column only moves entries: bwd o fwd is the matrix of the
+    composed line list, P @ A relabels the rows of A and B @ P picks the
+    columns of B in order.  These are exactly the products
+    `ModuleMap.residuals` and `RatMat.gap` would form, and each identity
+    still goes to `_cleared_gap`, so every residual is the same value.  Each
+    generator matrix is cleared once for both maps.
     """
     sys = inst.system
     rep = VerificationReport(title="restricted-induction decomposition", instance=inst.describe())
@@ -186,14 +240,20 @@ def verify(inst: MackeyInstance) -> VerificationReport:
     rep.add("constructed modules satisfy the defining relations", not bad,
             detail={"failed": bad} if bad else None)
 
-    fwd, bwd = build_transfer_maps(inst)
-    ident = RatMat.identity(inst.lhs.dim)
-    rep.add_residual("backward o forward is the identity", (bwd.matrix @ fwd.matrix).gap(ident))
-    rep.add_residual("forward o backward is the identity", (fwd.matrix @ bwd.matrix).gap(ident))
-    for j, r in bwd.residuals().items():
-        rep.add_residual(f"backward map is equivariant for s{j + 1}", r)
-    for j, r in fwd.residuals().items():
-        rep.add_residual(f"forward map is equivariant for s{j + 1}", r)
+    fwd, bwd = _transfer_lines(inst)
+    ident = [(1, RatMat.identity(inst.lhs.dim))]
+    for name, first, then in (("backward o forward", fwd, bwd), ("forward o backward", bwd, fwd)):
+        composed = _line_matrix([None if r is None else then[r] for r in first])
+        rep.add_residual(f"{name} is the identity", _cleared_gap([(1, composed)], ident, 1))
+    gens = sorted(inst.J)
+    lhs = {j: inst.lhs.gen_action[j].cleared() for j in gens}
+    rhs = {j: inst.rhs.gen_action[j].cleared() for j in gens}
+    for name, line, source, target in (("backward", bwd, rhs, lhs), ("forward", fwd, lhs, rhs)):
+        for j in gens:
+            (A, da), (B, db) = source[j], target[j]
+            rep.add_residual(f"{name} map is equivariant for s{j + 1}",
+                             _cleared_gap([(db, _line_times(line, A))],
+                                          [(da, _times_line(B, line))], da * db))
     return rep
 
 
@@ -283,10 +343,14 @@ def verify_tensor_decomposition(M: HeckeModule, N: HeckeModule, k: int,
         want = comb(k, t) * comb(m + n - k, m - t) * M.dim * N.dim
         rep.add(f"t={t}: block dimension is C({k},{t})*C({m + n - k},{m - t})*dimM*dimN",
                 cor_block.dim == want)
-        worst = max((cor_block.gen_action[j].gap(block.module.gen_action[j])
-                     for j in sorted(J)), default=0)
-        rep.add_residual(f"t={t}: independent block equals the generic block", worst)
-        all_match &= cor_block.dim == block.module.dim
+        name = f"t={t}: independent block equals the generic block"
+        if cor_block.dim == block.module.dim:
+            worst = max((cor_block.gen_action[j].gap(block.module.gen_action[j])
+                         for j in sorted(J)), default=0)
+            rep.add_residual(name, worst)
+        else:
+            rep.add(name, False, detail={"reason": "dimension mismatch"})
+            all_match = False
     if all_match and cor_blocks:
         cor_rhs = direct_sum(cor_blocks)
         found = iso_test_detail(cor_rhs, inst.lhs, seed=seed)

@@ -392,3 +392,10 @@ def test_gap_residual():
     a = RatMat.from_rows([[F(1, 3), -2], [0, F(5, 2)]])
     assert a.gap(RatMat.zeros(2, 2)) == F(5, 2)
     assert a.gap(a) == 0
+
+
+def test_gap_of_different_shapes_raises_a_fault():
+    # an explicit raise, kept under python -O; not a ValueError, which the
+    # CLI reports as bad input
+    with pytest.raises(RuntimeError, match="gap of a 2x2 and a 2x3 matrix"):
+        RatMat.identity(2).gap(RatMat.zeros(2, 3))

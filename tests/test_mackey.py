@@ -2,6 +2,7 @@
 exact verification, and the symmetric-group two-factor specialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hecke_kit.linalg import RatMat
 from hecke_kit.mackey import (
     build_sides, build_transfer_maps, split_induced, verify, verify_tensor_decomposition,
 )
-from hecke_kit.repmod import induce, regular, scalar
+from hecke_kit.repmod import induce, one_dim_factor, random_conjugate, regular, scalar
 from hecke_kit.scalars import DEFAULT_PARAM_BATTERY, ParamSpec
 
 P10 = ParamSpec.parse("1,0")
@@ -278,3 +279,108 @@ def test_tensor_decomposition_all_k_2_2():
     for k in (1, 2, 3):
         rep = verify_tensor_decomposition(M, N, k)
         assert rep.passed, (k, [c.name for c in rep.checks if not c.ok])
+
+
+def test_mismatched_block_fails_instead_of_raising(monkeypatch):
+    # with no cross-section the independent route builds blocks of the
+    # wrong dimension: a failed check, not a crash in the comparison
+    monkeypatch.setattr(mackey, "_relabel_from_line", lambda line, j: None)
+    s2 = symmetric_group_system(2)
+    M = regular(s2, s2.full_subset, P23)
+    rep = verify_tensor_decomposition(M, M, 2)
+    assert not rep.passed
+    block = [c for c in rep.checks if c.name.endswith("independent block equals the generic block")]
+    assert [c.name[:4] for c in block] == ["t=0:", "t=1:", "t=2:"]
+    assert [(c.ok, c.residual, c.detail) for c in block] == [
+        (False, None, {"reason": "dimension mismatch"}),
+        (True, "0", None),
+        (False, None, {"reason": "dimension mismatch"}),
+    ]
+    assert rep.checks[-1].detail == {"reason": "block mismatch"}
+
+
+# -- the transfer checks against the product route -------------------------
+
+
+def test_line_products_match_matrix_products():
+    # lines with repeats and gaps too: rows that land on one line add up
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        line = [rng.choice([None, *range(n)]) for _ in range(n)]
+        A = RatMat.from_rows([[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)]
+                              for _ in range(n)])
+        P = mackey._line_matrix(line)
+        assert mackey._line_times(line, A) == P @ A
+        assert mackey._times_line(A, line) == A @ P
+
+REFERENCE_CASES = [("A2", {0}, {1}), ("A3", {0, 1}, {0, 2}), ("B3", {0, 1}, {1, 2}),
+                   ("I2(5)", {0}, {1})]
+REFERENCE_MODULES = {
+    "regular": lambda sys, I, params: regular(sys, I, params),
+    "one_dim": lambda sys, I, params: one_dim_factor(sys, I, params),
+    "conjugate": lambda sys, I, params: random_conjugate(regular(sys, I, params), 3),
+}
+
+
+def _swap_two_lines(inst, monkeypatch):
+    # two forward lines of the first block of dimension >= 2 trade places
+    real = mackey._transfer_lines
+    block = next(b for b in inst.blocks if b.module.dim >= 2)
+
+    def swapped(inst):
+        fwd, bwd = real(inst)
+        c1, c2 = [c for c, r in enumerate(fwd)
+                  if block.offset <= r < block.offset + block.module.dim][:2]
+        fwd[c1], fwd[c2] = fwd[c2], fwd[c1]
+        return fwd, bwd
+
+    monkeypatch.setattr(mackey, "_transfer_lines", swapped)
+
+
+def _shift_first_offset(inst, monkeypatch):
+    # the first block's lines overlap the next block's
+    monkeypatch.setattr(inst.blocks[0], "offset", inst.blocks[0].offset + inst.M.dim)
+
+
+def _scale_right_generator(inst, monkeypatch):
+    j = min(inst.J)
+    monkeypatch.setitem(inst.rhs.gen_action, j, inst.rhs.gen_action[j].scale(2))
+
+
+def _product_residuals(inst):
+    """Every transfer check's residual by the product route: the matrices of
+    `build_transfer_maps`, multiplied and compared by `RatMat.gap` and
+    `ModuleMap.residuals`."""
+    fwd, bwd = build_transfer_maps(inst)
+    ident = RatMat.identity(inst.lhs.dim)
+    out = {
+        "backward o forward is the identity": (bwd.matrix @ fwd.matrix).gap(ident),
+        "forward o backward is the identity": (fwd.matrix @ bwd.matrix).gap(ident),
+    }
+    for name, m in (("backward", bwd), ("forward", fwd)):
+        for j, r in m.residuals().items():
+            out[f"{name} map is equivariant for s{j + 1}"] = r
+    return {name: str(Fraction(r)) for name, r in out.items()}
+
+
+@pytest.mark.parametrize("fault", [None, _swap_two_lines, _shift_first_offset,
+                                   _scale_right_generator],
+                         ids=["none", "swap", "shift", "scale"])
+@pytest.mark.parametrize("params", ["2,3", "-1,1", "1/2,3/16"])
+def test_transfer_checks_match_the_product_route(fault, params, monkeypatch):
+    params = ParamSpec.parse(params)
+    failing = 0
+    for group, I, J in REFERENCE_CASES:
+        sys = get_system(group)
+        for kind, make in REFERENCE_MODULES.items():
+            inst = build_sides(sys, I, J, make(sys, I, params))
+            with monkeypatch.context() as m:
+                if fault is not None:
+                    fault(inst, m)
+                want = _product_residuals(inst)
+                got = {c.name: c.residual for c in verify(inst).checks if c.name in want}
+            assert got == want, (group, kind)
+            failing += any(r != "0" for r in want.values())
+    # a planted fault shows in the residuals of every instance
+    assert failing == (0 if fault is None else len(REFERENCE_CASES) * len(REFERENCE_MODULES))
